@@ -11,6 +11,12 @@ cargo test -q --workspace
 cargo build --examples --release
 cargo bench --workspace --no-run
 
+# The benchmark package (perfbench/, a Cargo workspace of its own) builds
+# the library crates from source: a core API change that breaks it, or its
+# committed lockfile, fails here.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 # The API docs must build clean: broken intra-doc links or malformed
 # rustdoc are errors, not warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
@@ -46,6 +52,19 @@ if cargo +nightly miri --version >/dev/null 2>&1; then
 else
   echo "ci: skip — cargo +nightly miri unavailable"
 fi
+
+# Bad epoch-driver input is a configuration error, not a panic: the CLI
+# must print it and exit non-zero.
+if bad_err=$(cargo run -q --release --bin buffalo -- train cora --batch-size 0 2>&1 >/dev/null); then
+  echo "ci: FAIL — train --batch-size 0 exited zero" >&2
+  exit 1
+fi
+if grep -q 'panicked' <<<"$bad_err"; then
+  echo "ci: FAIL — train --batch-size 0 panicked:" >&2
+  printf '%s\n' "$bad_err" >&2
+  exit 1
+fi
+echo "ci: train --batch-size 0 rejected without a panic"
 
 # The pipeline toggle must train end-to-end both ways.
 cargo run -q --release --bin buffalo -- train cora --epochs 1 --budget 12M --pipeline off

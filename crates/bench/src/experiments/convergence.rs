@@ -4,7 +4,7 @@
 use crate::context::{gib, load_workload, load_workload_with, RTX6000_GIB};
 use crate::output::Table;
 use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
-use buffalo_core::train::{BuffaloTrainer, FullBatchTrainer, TrainConfig};
+use buffalo_core::train::{Engine, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_graph::NodeId;
 use buffalo_memsim::{AggregatorKind, CostModel, DeviceMemory, GnnShape};
@@ -44,7 +44,7 @@ pub fn fig17(quick: bool) {
         );
         // Size a budget that forces Buffalo into several micro-batches,
         // probing the whole-batch footprint with a throwaway trainer.
-        let mut probe = FullBatchTrainer::new(config.clone());
+        let mut probe = Engine::full_batch(config.clone());
         let big = DeviceMemory::new(u64::MAX);
         let whole = probe
             .train_iteration(&w.dataset, &batch, &big, &cost)
@@ -56,8 +56,8 @@ pub fn fig17(quick: bool) {
             w.dataset.spec.num_classes,
             AggregatorKind::Mean,
         );
-        let mut full = FullBatchTrainer::new(config.clone());
-        let mut buffalo = BuffaloTrainer::new(config, w.clustering);
+        let mut full = Engine::full_batch(config.clone());
+        let mut buffalo = Engine::buffalo(config, w.clustering);
         let mut t = Table::new([
             "iteration",
             "batch loss",
@@ -147,13 +147,13 @@ pub fn tab4(quick: bool) {
                 train_agg,
             );
             let big = DeviceMemory::new(u64::MAX);
-            let mut probe = FullBatchTrainer::new(config.clone());
+            let mut probe = Engine::full_batch(config.clone());
             let whole_small = probe
                 .train_iteration(&w.dataset, &batch, &big, &cost)
                 .expect("unlimited device");
             let budget = DeviceMemory::new(whole_small.peak_mem_bytes * 3 / 5);
-            let mut full = FullBatchTrainer::new(config.clone());
-            let mut buffalo = BuffaloTrainer::new(config, w.clustering);
+            let mut full = Engine::full_batch(config.clone());
+            let mut buffalo = Engine::buffalo(config, w.clustering);
             let (mut dgl_losses, mut buf_losses, mut micro) = (Vec::new(), Vec::new(), 0);
             for _ in 0..iters {
                 let sf = full

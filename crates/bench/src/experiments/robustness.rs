@@ -13,7 +13,7 @@
 
 use crate::context::load_workload;
 use crate::output::Table;
-use buffalo_core::train::{BuffaloTrainer, RecoveryPolicy, TrainConfig};
+use buffalo_core::train::{Engine, RecoveryPolicy, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::{
     AggregatorKind, CostModel, Device, DeviceMemory, FaultPlan, FaultyDevice, GnnShape,
@@ -77,11 +77,10 @@ fn run_scenario(
             &plain
         }
     };
-    let mut trainer =
-        BuffaloTrainer::new(config.clone(), w.clustering).with_recovery(RecoveryPolicy {
-            max_retries: 8,
-            ..RecoveryPolicy::default()
-        });
+    let mut trainer = Engine::buffalo(config.clone(), w.clustering).with_recovery(RecoveryPolicy {
+        max_retries: 8,
+        ..RecoveryPolicy::default()
+    });
     let mut out = Outcome {
         name: sc.name.to_string(),
         rate: sc.rate,
@@ -137,7 +136,7 @@ pub fn robustness(quick: bool, write_bench: bool) {
     };
     // Probe the whole-batch footprint, then size a budget that forces a
     // handful of micro-batches so recovery has real work to do.
-    let mut probe = BuffaloTrainer::new(config.clone(), w.clustering);
+    let mut probe = Engine::buffalo(config.clone(), w.clustering);
     let big = DeviceMemory::new(u64::MAX);
     let whole = probe
         .train_iteration(&w.dataset, &w.batch, &big, &cost)

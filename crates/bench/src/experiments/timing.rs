@@ -7,7 +7,7 @@ use crate::context::{load_workload, load_workload_with, RTX6000_GIB};
 use crate::output::{secs, Table};
 use buffalo_blocks::{generate_blocks_checked, generate_blocks_fast, GenerateOptions};
 use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
-use buffalo_core::train::{BuffaloTrainer, PipelineConfig, TrainConfig};
+use buffalo_core::train::{Engine, PipelineConfig, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::{measure, AggregatorKind, CostModel, DeviceMemory, StageTimings};
 use buffalo_partition::{metis_kway, range_partition, MetisOptions};
@@ -228,7 +228,7 @@ pub fn fig12(quick: bool) {
     let _ = RTX6000_GIB;
 }
 
-/// Staged-pipeline experiment: the real `BuffaloTrainer` (dense math, not
+/// Staged-pipeline experiment: the real scheduled `Engine` (dense math, not
 /// the analytic simulator) with serial vs overlapped staging on a budget
 /// that forces multiple micro-batches. Reports the serial stage sum, the
 /// overlapped makespan, and checks the two runs' losses bit-for-bit.
@@ -262,8 +262,7 @@ pub fn pipeline_train(quick: bool) {
         };
         let run = |pipeline: PipelineConfig| {
             let device = DeviceMemory::new(budget);
-            let mut trainer =
-                BuffaloTrainer::new(config.clone(), w.clustering).with_pipeline(pipeline);
+            let mut trainer = Engine::buffalo(config.clone(), w.clustering).with_pipeline(pipeline);
             let mut timings = StageTimings::default();
             let mut losses = Vec::new();
             let mut k = 0usize;

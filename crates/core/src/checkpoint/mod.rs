@@ -53,8 +53,8 @@ pub struct ParamState {
 /// [`Engine::capture_state`](crate::train::Engine::capture_state)
 /// captures and
 /// [`Engine::restore_state`](crate::train::Engine::restore_state)
-/// restores — the single snapshot implementation every
-/// `IterationTrainer` driver shares.
+/// restores — the single snapshot implementation the epoch driver
+/// saves and resumes through.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainerState {
     /// Adam's step counter (bias correction depends on it).

@@ -13,21 +13,21 @@
 //!   through the same pipeline and (in scheduled mode) the same bucket
 //!   scheduler for admission under the device budget, touching no
 //!   parameter or optimizer state;
+//! * [`evaluate`](Engine::evaluate) — held-out accuracy, preparing the
+//!   whole batch with the same Prepare stage the pipeline runs;
 //! * [`capture_state`](Engine::capture_state) /
 //!   [`restore_state`](Engine::restore_state) — the single bit-exact
 //!   snapshot implementation the checkpoint subsystem targets.
 //!
-//! `FullBatchTrainer` and `BuffaloTrainer` are thin drivers over an
-//! engine, as are the epoch loop in [`epoch`](crate::train::epoch) and the
-//! serving loop in [`serve`](crate::serve). Because the engine merely
-//! re-homes state without reordering any operation, training through it is
-//! bitwise identical to the pre-extraction trainers (the golden trail in
-//! `tests/golden/` gates this).
+//! The engine is the only driver type. The epoch loop in
+//! [`run_epochs`](crate::train::run_epochs) and the serving loop in
+//! [`serve`](crate::serve) borrow it call by call; the golden trail in
+//! `tests/golden/` gates that training through it stays bitwise stable.
 
 use crate::checkpoint::{CheckpointError, ParamState, TrainerState};
 use crate::models::GnnModel;
 use crate::train::pipeline::{
-    run_inference, run_pipeline, InferOutcome, InferRequest, MicroSpec, PipelineRequest,
+    plan_specs, prepare_one, run_inference, run_pipeline, InferRequest, MicroSpec, PipelineRequest,
 };
 use crate::train::recovery::{HeadroomCalibrator, RecoveryPolicy};
 use crate::train::{IterationStats, PipelineConfig, TrainConfig};
@@ -36,8 +36,8 @@ use buffalo_bucketing::BuffaloScheduler;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
 use buffalo_memsim::{CostModel, Device};
-use buffalo_sampling::Batch;
-use buffalo_tensor::{Adam, Optimizer};
+use buffalo_sampling::{Batch, BatchSampler};
+use buffalo_tensor::{softmax_cross_entropy, Adam, Optimizer, Tensor};
 
 /// Result of a forward-only inference pass (see [`Engine::infer`]).
 #[derive(Debug, Clone)]
@@ -129,23 +129,7 @@ impl Engine {
         &self.model
     }
 
-    /// Whether this engine schedules batches into bucket groups
-    /// (Algorithm 2) rather than training them whole (Algorithm 1).
-    pub fn is_scheduled(&self) -> bool {
-        self.scheduler.is_some()
-    }
-
-    /// The active pipeline configuration.
-    pub fn pipeline(&self) -> PipelineConfig {
-        self.pipeline
-    }
-
-    /// Sets the pipeline configuration.
-    pub fn set_pipeline(&mut self, pipeline: PipelineConfig) {
-        self.pipeline = pipeline;
-    }
-
-    /// Builder-style [`set_pipeline`](Self::set_pipeline).
+    /// Sets the pipeline configuration, builder-style.
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
@@ -183,8 +167,7 @@ impl Engine {
     /// rollback rung calls this with a compounding boost so each rollback
     /// schedules more conservatively than the last. A no-op in
     /// whole-batch mode: with no scheduler there is no plan to make more
-    /// conservative (the historical `FullBatchTrainer` behavior, kept
-    /// bit-compatible — see the drift regression test below).
+    /// conservative (see the drift regression test below).
     pub fn force_headroom(&mut self, multiplier: f64) {
         if self.scheduler.is_some() && multiplier > self.calibrator.multiplier() {
             self.calibrator.set_multiplier(multiplier);
@@ -255,66 +238,44 @@ impl Engine {
         config.parallelism.install();
         device.free_all();
         device.reset_peak();
-        let outcome = match scheduler {
-            None => {
-                model.zero_grad();
-                run_pipeline(
-                    model,
-                    PipelineRequest {
-                        ds,
-                        batch,
-                        specs: &[MicroSpec::Whole],
-                        estimates: &[],
-                        shape: &config.shape,
-                        grad_divisor: batch.num_seeds,
-                        device,
-                        cost,
-                        pipeline: *pipeline,
-                        policy: recovery,
-                        scheduler: None,
-                        calibrator: None,
-                        schedule_seconds: 0.0,
-                    },
-                )?
-            }
-            Some(scheduler) => {
-                // The calibrated constraint: `budget / multiplier`, the
-                // plain budget until the calibrator has seen an
-                // under-prediction. Planned against the *schedule* budget
-                // — the tightest live member of a device pool — so every
-                // group fits whichever device it is routed to.
-                let constraint = calibrator.constrain(device.schedule_budget());
-                let plan = scheduler.schedule(&batch.graph, batch.num_seeds, constraint)?;
-                model.zero_grad();
-                let mut specs: Vec<MicroSpec<'_>> = Vec::with_capacity(plan.groups.len());
-                let mut estimates: Vec<u64> = Vec::with_capacity(plan.groups.len());
-                for (i, g) in plan.groups.iter().enumerate() {
-                    if g.is_empty() {
-                        continue;
-                    }
-                    specs.push(MicroSpec::Seeds(g));
-                    estimates.push(plan.group_estimates.get(i).copied().unwrap_or(0));
-                }
-                run_pipeline(
-                    model,
-                    PipelineRequest {
-                        ds,
-                        batch,
-                        specs: &specs,
-                        estimates: &estimates,
-                        shape: &config.shape,
-                        grad_divisor: batch.num_seeds,
-                        device,
-                        cost,
-                        pipeline: *pipeline,
-                        policy: recovery,
-                        scheduler: recovery.enabled.then_some(&*scheduler),
-                        calibrator: recovery.enabled.then_some(calibrator),
-                        schedule_seconds: plan.scheduling_time.as_secs_f64(),
-                    },
-                )?
-            }
+        // The calibrated constraint: `budget / multiplier`, the plain
+        // budget until the calibrator has seen an under-prediction.
+        // Planned against the *schedule* budget — the tightest live member
+        // of a device pool — so every group fits whichever device it is
+        // routed to.
+        let plan = match scheduler.as_ref() {
+            Some(s) => Some(s.schedule(
+                &batch.graph,
+                batch.num_seeds,
+                calibrator.constrain(device.schedule_budget()),
+            )?),
+            None => None,
         };
+        let (specs, estimates) = plan_specs(plan.as_ref());
+        // The re-split rung and online calibration need a scheduler and an
+        // enabled recovery policy.
+        let recovering = recovery.enabled && scheduler.is_some();
+        model.zero_grad();
+        let outcome = run_pipeline(
+            model,
+            PipelineRequest {
+                ds,
+                batch,
+                specs: &specs,
+                estimates: &estimates,
+                shape: &config.shape,
+                grad_divisor: batch.num_seeds,
+                device,
+                cost,
+                pipeline: *pipeline,
+                policy: recovery,
+                scheduler: scheduler.as_ref().filter(|_| recovering),
+                calibrator: recovering.then_some(calibrator),
+                schedule_seconds: plan
+                    .as_ref()
+                    .map_or(0.0, |p| p.scheduling_time.as_secs_f64()),
+            },
+        )?;
         // One optimizer step after all partial gradients accumulated
         // (Algorithm 2 line 13; trivially one micro-batch in whole-batch
         // mode).
@@ -377,44 +338,28 @@ impl Engine {
         self.config.parallelism.install();
         device.free_all();
         device.reset_peak();
-        let outcome: InferOutcome = match &self.scheduler {
-            None => run_inference(
-                &self.model,
-                InferRequest {
-                    ds,
-                    batch,
-                    specs: &[MicroSpec::Whole],
-                    shape: &self.config.shape,
-                    device,
-                    cost,
-                    pipeline: self.pipeline,
-                    micro_base,
-                },
-            )?,
-            Some(scheduler) => {
-                let constraint = self.calibrator.constrain(device.schedule_budget());
-                let plan = scheduler.schedule(&batch.graph, batch.num_seeds, constraint)?;
-                let specs: Vec<MicroSpec<'_>> = plan
-                    .groups
-                    .iter()
-                    .filter(|g| !g.is_empty())
-                    .map(|g| MicroSpec::Seeds(g))
-                    .collect();
-                run_inference(
-                    &self.model,
-                    InferRequest {
-                        ds,
-                        batch,
-                        specs: &specs,
-                        shape: &self.config.shape,
-                        device,
-                        cost,
-                        pipeline: self.pipeline,
-                        micro_base,
-                    },
-                )?
-            }
+        let plan = match &self.scheduler {
+            Some(s) => Some(s.schedule(
+                &batch.graph,
+                batch.num_seeds,
+                self.calibrator.constrain(device.schedule_budget()),
+            )?),
+            None => None,
         };
+        let (specs, _) = plan_specs(plan.as_ref());
+        let outcome = run_inference(
+            &self.model,
+            InferRequest {
+                ds,
+                batch,
+                specs: &specs,
+                shape: &self.config.shape,
+                device,
+                cost,
+                pipeline: self.pipeline,
+                micro_base,
+            },
+        )?;
         Ok(InferenceStats {
             predictions: outcome.predictions,
             num_micro_batches: outcome.micro_batches,
@@ -431,7 +376,14 @@ impl Engine {
     ///
     /// Panics if `nodes` is empty.
     pub fn evaluate(&self, ds: &Dataset, nodes: &[NodeId], seed: u64) -> f32 {
-        crate::train::evaluate(&self.model, ds, nodes, &self.config.fanouts, seed)
+        assert!(!nodes.is_empty(), "evaluation set must be non-empty");
+        let batch = BatchSampler::new(self.config.fanouts.clone()).sample(&ds.graph, nodes, seed);
+        let (_, prepared) = prepare_one(ds, &batch, MicroSpec::Whole, self.config.shape.num_layers);
+        let (blocks, features, feat_dim, labels) = prepared.into_parts();
+        let features = Tensor::from_vec(features.len() / feat_dim, feat_dim, features);
+        let (logits, _) = self.model.forward(&blocks, &features);
+        let out = softmax_cross_entropy(&logits, &labels, None);
+        out.correct as f32 / labels.len() as f32
     }
 }
 
@@ -536,12 +488,10 @@ mod tests {
         h
     }
 
-    /// Drift audit (satellite): the two pre-extraction trainers disagreed
-    /// on headroom bookkeeping — `FullBatchTrainer` had no calibrator, so
-    /// it always captured a multiplier of 1.0, ignored the snapshot's
-    /// multiplier on restore, and ignored `force_headroom`; only
-    /// `BuffaloTrainer` re-seeded a calibrator in `set_recovery`. The
-    /// unified engine must preserve both behaviors per mode.
+    /// Headroom bookkeeping differs by mode: whole-batch mode has no
+    /// calibrator, so it always captures a multiplier of 1.0, ignores the
+    /// snapshot's multiplier on restore, and ignores `force_headroom`;
+    /// only scheduled mode re-seeds a calibrator in `set_recovery`.
     #[test]
     fn headroom_drift_between_modes_is_preserved() {
         let (_, _, config) = small_setup();
@@ -574,31 +524,6 @@ mod tests {
         buf.force_headroom(4.0);
         buf.restore_state(&snap).unwrap();
         assert_eq!(buf.headroom_multiplier(), 2.5);
-    }
-
-    #[test]
-    fn engine_matches_trainer_losses_bitwise() {
-        // The extracted engine is the trainer: identical losses, bit for
-        // bit, against the thin drivers that wrap it.
-        use crate::train::{BuffaloTrainer, FullBatchTrainer};
-        let (ds, batch, config) = small_setup();
-        let cost = CostModel::rtx6000();
-        let dev_a = DeviceMemory::with_gib(24.0);
-        let dev_b = DeviceMemory::with_gib(24.0);
-        let mut engine = Engine::full_batch(config.clone());
-        let mut trainer = FullBatchTrainer::new(config.clone());
-        for i in 0..4 {
-            let a = engine.train_iteration(&ds, &batch, &dev_a, &cost).unwrap();
-            let b = trainer.train_iteration(&ds, &batch, &dev_b, &cost).unwrap();
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "full iter {i}");
-        }
-        let mut engine = Engine::buffalo(config.clone(), 0.24);
-        let mut trainer = BuffaloTrainer::new(config, 0.24);
-        for i in 0..4 {
-            let a = engine.train_iteration(&ds, &batch, &dev_a, &cost).unwrap();
-            let b = trainer.train_iteration(&ds, &batch, &dev_b, &cost).unwrap();
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "buffalo iter {i}");
-        }
     }
 
     #[test]

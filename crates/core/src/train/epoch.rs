@@ -3,160 +3,13 @@
 
 use crate::checkpoint::{
     config_fingerprint, CheckpointError, CheckpointOptions, CheckpointRing, TrainSnapshot,
-    TrainerState,
 };
-use crate::models::GnnModel;
-use crate::train::{gather_features, gather_labels, IterationStats, RecoveryEvent, TrainConfig};
+use crate::train::{Engine, RecoveryEvent};
 use crate::TrainError;
-use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
 use buffalo_memsim::{CostModel, Device, StageTimings};
-use buffalo_sampling::{Batch, BatchSampler, SeedBatches};
-use buffalo_tensor::softmax_cross_entropy;
-
-/// Anything that can train one iteration on a sampled batch — implemented
-/// by the shared [`Engine`](crate::train::Engine) and by the
-/// `FullBatchTrainer` (Algorithm 1) / `BuffaloTrainer` (Algorithm 2)
-/// drivers that wrap it, so epoch drivers and experiments can swap them
-/// freely.
-pub trait IterationTrainer {
-    /// Trains one iteration on `batch`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OOM/scheduling failures (see [`TrainError`]).
-    fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError>;
-
-    /// The model under training.
-    fn model(&self) -> &GnnModel;
-
-    /// The training configuration.
-    fn train_config(&self) -> &TrainConfig;
-
-    /// Captures model/optimizer/calibrator state for a checkpoint.
-    fn capture_state(&mut self) -> TrainerState;
-
-    /// Restores captured state bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::StateMismatch`] if the snapshot does not fit
-    /// this trainer's model.
-    fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError>;
-
-    /// Ensures the scheduling headroom multiplier is at least
-    /// `multiplier`. Trainers without a calibrator (the whole-batch path
-    /// cannot re-schedule) ignore this.
-    fn force_headroom(&mut self, multiplier: f64) {
-        let _ = multiplier;
-    }
-}
-
-/// The canonical implementation: the engine itself trains iterations and
-/// snapshots its own state. The trainer impls below only delegate here
-/// through their wrapped engine.
-impl IterationTrainer for super::Engine {
-    fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        super::Engine::train_iteration(self, ds, batch, device, cost)
-    }
-
-    fn model(&self) -> &GnnModel {
-        super::Engine::model(self)
-    }
-
-    fn train_config(&self) -> &TrainConfig {
-        self.config()
-    }
-
-    fn capture_state(&mut self) -> TrainerState {
-        super::Engine::capture_state(self)
-    }
-
-    fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        super::Engine::restore_state(self, state)
-    }
-
-    fn force_headroom(&mut self, multiplier: f64) {
-        super::Engine::force_headroom(self, multiplier);
-    }
-}
-
-impl IterationTrainer for super::FullBatchTrainer {
-    fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        self.engine_mut().train_iteration(ds, batch, device, cost)
-    }
-
-    fn model(&self) -> &GnnModel {
-        self.engine().model()
-    }
-
-    fn train_config(&self) -> &TrainConfig {
-        self.config()
-    }
-
-    fn capture_state(&mut self) -> TrainerState {
-        self.engine_mut().capture_state()
-    }
-
-    fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        self.engine_mut().restore_state(state)
-    }
-
-    fn force_headroom(&mut self, multiplier: f64) {
-        self.engine_mut().force_headroom(multiplier);
-    }
-}
-
-impl IterationTrainer for super::BuffaloTrainer {
-    fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        self.engine_mut().train_iteration(ds, batch, device, cost)
-    }
-
-    fn model(&self) -> &GnnModel {
-        self.engine().model()
-    }
-
-    fn train_config(&self) -> &TrainConfig {
-        self.config()
-    }
-
-    fn capture_state(&mut self) -> TrainerState {
-        self.engine_mut().capture_state()
-    }
-
-    fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        self.engine_mut().restore_state(state)
-    }
-
-    fn force_headroom(&mut self, multiplier: f64) {
-        self.engine_mut().force_headroom(multiplier);
-    }
-}
+use buffalo_sampling::{BatchSampler, SeedBatches};
 
 /// Epoch-driver configuration.
 #[derive(Debug, Clone)]
@@ -191,7 +44,7 @@ pub struct EpochStats {
     /// Stage timings accumulated over the epoch's iterations.
     pub timings: StageTimings,
     /// Recovery actions taken across the epoch's iterations, in order.
-    /// Empty unless the trainer has an enabled `RecoveryPolicy` and the
+    /// Empty unless the engine has an enabled `RecoveryPolicy` and the
     /// device refused an allocation.
     pub recovery: Vec<RecoveryEvent>,
 }
@@ -219,7 +72,7 @@ pub struct TrainRun {
 }
 
 /// The live position of a [`run_epochs_checkpointed`] run — everything a
-/// snapshot must pin down beyond trainer state. All random streams are
+/// snapshot must pin down beyond engine state. All random streams are
 /// keyed off these indices (epoch shuffle by `seed ^ f(epoch)`, sampling
 /// by `seed + epoch_iter`, device faults by allocation count), which is
 /// why restoring the cursor restores the streams.
@@ -240,20 +93,17 @@ struct Cursor {
 ///
 /// # Errors
 ///
-/// Stops at the first failing iteration.
-///
-/// # Panics
-///
-/// Panics if `train_nodes + eval_nodes` exceeds the dataset size or
-/// `batch_size == 0`.
-pub fn run_epochs<T: IterationTrainer>(
-    trainer: &mut T,
+/// * [`TrainError::InvalidConfig`] if `batch_size == 0` or
+///   `train_nodes + eval_nodes` exceeds the dataset size.
+/// * Otherwise stops at the first failing iteration.
+pub fn run_epochs(
+    engine: &mut Engine,
     ds: &Dataset,
     device: &dyn Device,
     cost: &CostModel,
     cfg: &EpochConfig,
 ) -> Result<Vec<EpochStats>, TrainError> {
-    run_epochs_checkpointed(trainer, ds, device, cost, cfg, None, false).map(|run| run.epochs)
+    run_epochs_checkpointed(engine, ds, device, cost, cfg, None, false).map(|run| run.epochs)
 }
 
 /// Runs `cfg.epochs` epochs with optional checkpointing, resume, and
@@ -262,7 +112,7 @@ pub fn run_epochs<T: IterationTrainer>(
 /// With `ckpt` set, a base snapshot is written before the first
 /// iteration, one after every `ckpt.every` completed iterations, and one
 /// at each epoch end. With `resume`, the newest valid snapshot in
-/// `ckpt.dir` is restored first: trainer state bit-exactly, the device's
+/// `ckpt.dir` is restored first: engine state bit-exactly, the device's
 /// fault stream fast-forwarded to the recorded allocation count, and the
 /// cursor moved so the continued loss trail is bit-identical to an
 /// uninterrupted run. When a [`TrainError::RecoveryExhausted`] surfaces
@@ -276,16 +126,13 @@ pub fn run_epochs<T: IterationTrainer>(
 ///
 /// # Errors
 ///
+/// * [`TrainError::InvalidConfig`] if `batch_size == 0` or
+///   `train_nodes + eval_nodes` exceeds the dataset size.
 /// * Any unrecovered [`TrainError`] from an iteration.
 /// * [`TrainError::Checkpoint`] for snapshot I/O or integrity failures,
 ///   a configuration mismatch on resume, or an injected crash.
-///
-/// # Panics
-///
-/// Panics if `train_nodes + eval_nodes` exceeds the dataset size or
-/// `batch_size == 0`.
-pub fn run_epochs_checkpointed<T: IterationTrainer>(
-    trainer: &mut T,
+pub fn run_epochs_checkpointed(
+    engine: &mut Engine,
     ds: &Dataset,
     device: &dyn Device,
     cost: &CostModel,
@@ -293,14 +140,20 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
     ckpt: Option<&CheckpointOptions>,
     resume: bool,
 ) -> Result<TrainRun, TrainError> {
-    assert!(cfg.batch_size > 0, "batch_size must be positive");
-    assert!(
-        cfg.train_nodes + cfg.eval_nodes <= ds.graph.num_nodes(),
-        "train + eval split exceeds dataset size"
-    );
-    let fingerprint = config_fingerprint(trainer.train_config(), cfg);
-    let fanouts = trainer.train_config().fanouts.clone();
-    let sampler = BatchSampler::new(fanouts.clone());
+    if cfg.batch_size == 0 {
+        return Err(TrainError::InvalidConfig(
+            "batch size must be positive".into(),
+        ));
+    }
+    let nodes = ds.graph.num_nodes();
+    if cfg.train_nodes.saturating_add(cfg.eval_nodes) > nodes {
+        return Err(TrainError::InvalidConfig(format!(
+            "train + eval split ({} + {}) exceeds the dataset's {nodes} nodes",
+            cfg.train_nodes, cfg.eval_nodes
+        )));
+    }
+    let fingerprint = config_fingerprint(engine.config(), cfg);
+    let sampler = BatchSampler::new(engine.config().fanouts.clone());
 
     let mut ring = match ckpt {
         Some(o) => {
@@ -337,7 +190,7 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
                 found: snap.config_hash,
             }));
         }
-        trainer
+        engine
             .restore_state(&snap.trainer)
             .map_err(TrainError::Checkpoint)?;
         for (i, &allocs) in snap.device_allocs.iter().enumerate() {
@@ -357,7 +210,7 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
     } else if let Some(r) = ring.as_mut() {
         // Base snapshot: the rollback rung always has somewhere to land,
         // even if the first iteration exhausts recovery.
-        save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
+        save_snapshot(r, engine, device, fingerprint, &cur, &loss_trail)?;
         snapshots_written += 1;
     }
 
@@ -372,7 +225,7 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
         while cur.epoch_iter < nb {
             let i = cur.epoch_iter;
             let batch = sampler.sample(&ds.graph, batches.batch(i as usize), cfg.seed + i);
-            match trainer.train_iteration(ds, &batch, device, cost) {
+            match engine.train_iteration(ds, &batch, device, cost) {
                 Ok(stats) => {
                     cur.loss_sum += stats.loss as f64;
                     cur.acc_sum += stats.accuracy as f64;
@@ -384,7 +237,7 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
                     if let Some(r) = ring.as_mut() {
                         let every = ckpt.map_or(0, |o| o.every) as u64;
                         if every > 0 && cur.global_iter.is_multiple_of(every) {
-                            save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
+                            save_snapshot(r, engine, device, fingerprint, &cur, &loss_trail)?;
                             snapshots_written += 1;
                         }
                     }
@@ -401,7 +254,7 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
                     };
                     let (snap, _path) =
                         CheckpointRing::load_latest(&opts.dir).map_err(TrainError::Checkpoint)?;
-                    trainer
+                    engine
                         .restore_state(&snap.trainer)
                         .map_err(TrainError::Checkpoint)?;
                     // The device is NOT rewound: its shrunken budget and
@@ -423,7 +276,7 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
                     // cannot exhaust the same way forever.
                     let boost = snap.trainer.headroom_multiplier
                         * 1.25f64.powi(cur.rollbacks.min(i32::MAX as u64) as i32);
-                    trainer.force_headroom(boost);
+                    engine.force_headroom(boost);
                     break; // re-enter the epoch loop at the restored cursor
                 }
                 Err(e) => return Err(e),
@@ -435,7 +288,7 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
         let val_accuracy = (cfg.eval_nodes > 0).then(|| {
             let eval: Vec<NodeId> =
                 (cfg.train_nodes as NodeId..(cfg.train_nodes + cfg.eval_nodes) as NodeId).collect();
-            evaluate(trainer.model(), ds, &eval, &fanouts, cfg.seed ^ 0xE7A1)
+            engine.evaluate(ds, &eval, cfg.seed ^ 0xE7A1)
         });
         out.push(EpochStats {
             epoch: cur.epoch as usize,
@@ -451,7 +304,7 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
         cur.loss_sum = 0.0;
         cur.acc_sum = 0.0;
         if let Some(r) = ring.as_mut() {
-            save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
+            save_snapshot(r, engine, device, fingerprint, &cur, &loss_trail)?;
             snapshots_written += 1;
         }
     }
@@ -464,9 +317,9 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
     })
 }
 
-fn save_snapshot<T: IterationTrainer>(
+fn save_snapshot(
     ring: &mut CheckpointRing,
-    trainer: &mut T,
+    engine: &mut Engine,
     device: &dyn Device,
     config_hash: u64,
     cur: &Cursor,
@@ -483,45 +336,16 @@ fn save_snapshot<T: IterationTrainer>(
         epoch_loss_sum: cur.loss_sum,
         epoch_acc_sum: cur.acc_sum,
         loss_trail: loss_trail.to_vec(),
-        trainer: trainer.capture_state(),
+        trainer: engine.capture_state(),
     };
     ring.save(&snap).map_err(TrainError::Checkpoint)?;
     Ok(())
 }
 
-/// Forward-only evaluation: classification accuracy of `model` on
-/// `nodes`, sampling their neighborhoods with `fanouts`.
-///
-/// # Panics
-///
-/// Panics if `nodes` is empty.
-pub fn evaluate(
-    model: &GnnModel,
-    ds: &Dataset,
-    nodes: &[NodeId],
-    fanouts: &[usize],
-    seed: u64,
-) -> f32 {
-    assert!(!nodes.is_empty(), "evaluation set must be non-empty");
-    let batch = BatchSampler::new(fanouts.to_vec()).sample(&ds.graph, nodes, seed);
-    let blocks = generate_blocks_fast(
-        &batch.graph,
-        batch.num_seeds,
-        fanouts.len(),
-        GenerateOptions::default(),
-    );
-    let features = gather_features(ds, &batch, blocks[0].src_nodes());
-    // lint:allow(panic-reachability): infallible — generate_blocks_fast returns exactly `depth` blocks, depth >= 1 (suppresses chain: evaluate → .unwrap())
-    let labels = gather_labels(ds, &batch, blocks.last().unwrap().dst_nodes());
-    let (logits, _) = model.forward(&blocks, &features);
-    let out = softmax_cross_entropy(&logits, &labels, None);
-    out.correct as f32 / labels.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::{BuffaloTrainer, FullBatchTrainer};
+    use crate::train::TrainConfig;
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{AggregatorKind, DeviceMemory, GnnShape};
 
@@ -546,7 +370,7 @@ mod tests {
         let ds = datasets::load(DatasetName::Cora, 9);
         let device = DeviceMemory::with_gib(24.0);
         let cost = CostModel::rtx6000();
-        let mut trainer = FullBatchTrainer::new(config(&ds));
+        let mut engine = Engine::full_batch(config(&ds));
         let cfg = EpochConfig {
             batch_size: 128,
             epochs: 5,
@@ -554,7 +378,7 @@ mod tests {
             eval_nodes: 256,
             seed: 1,
         };
-        let stats = run_epochs(&mut trainer, &ds, &device, &cost, &cfg).unwrap();
+        let stats = run_epochs(&mut engine, &ds, &device, &cost, &cfg).unwrap();
         assert_eq!(stats.len(), 5);
         assert!(stats.iter().all(|s| s.iterations == 4));
         let first = stats.first().unwrap();
@@ -569,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_dispatch_works_for_both_trainers() {
+    fn whole_batch_and_scheduled_engines_agree_through_run_epochs() {
         let ds = datasets::load(DatasetName::Cora, 9);
         let device = DeviceMemory::with_gib(24.0);
         let cost = CostModel::rtx6000();
@@ -580,8 +404,8 @@ mod tests {
             eval_nodes: 0,
             seed: 1,
         };
-        let mut full = FullBatchTrainer::new(config(&ds));
-        let mut buffalo = BuffaloTrainer::new(config(&ds), 0.24);
+        let mut full = Engine::full_batch(config(&ds));
+        let mut buffalo = Engine::buffalo(config(&ds), 0.24);
         let a = run_epochs(&mut full, &ds, &device, &cost, &cfg).unwrap();
         let b = run_epochs(&mut buffalo, &ds, &device, &cost, &cfg).unwrap();
         assert_eq!(a[0].iterations, b[0].iterations);
@@ -616,12 +440,12 @@ mod tests {
         let dir = tmpdir("noperturb");
         let reference = {
             let device = DeviceMemory::with_gib(24.0);
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+            let mut t = Engine::buffalo(config(&ds), 0.24);
             run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, None, false).unwrap()
         };
         let checkpointed = {
             let device = DeviceMemory::with_gib(24.0);
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+            let mut t = Engine::buffalo(config(&ds), 0.24);
             let opts = crate::checkpoint::CheckpointOptions {
                 every: 2,
                 ..crate::checkpoint::CheckpointOptions::new(&dir)
@@ -642,7 +466,7 @@ mod tests {
     fn crash_and_resume_trail_is_bit_identical() {
         // Acceptance: a run killed mid-checkpoint-write (torn final file,
         // so resume must also exercise the CRC fallback) and resumed in a
-        // "new process" — fresh trainer, fresh fault device — produces a
+        // "new process" — fresh engine, fresh fault device — produces a
         // per-iteration loss trail bitwise identical to an uninterrupted
         // run. Injected transient faults make the device stream
         // position-dependent, so this also proves the RNG fast-forward.
@@ -659,8 +483,8 @@ mod tests {
                 FaultPlan::parse(fault_spec).unwrap(),
             )
         };
-        let fresh_trainer = || {
-            BuffaloTrainer::new(config(&ds), 0.24).with_recovery(crate::train::RecoveryPolicy {
+        let fresh_engine = || {
+            Engine::buffalo(config(&ds), 0.24).with_recovery(crate::train::RecoveryPolicy {
                 max_retries: 8,
                 ..crate::train::RecoveryPolicy::default()
             })
@@ -668,7 +492,7 @@ mod tests {
 
         let reference = {
             let device = fresh_device();
-            let mut t = fresh_trainer();
+            let mut t = fresh_engine();
             run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, None, false).unwrap()
         };
         assert_eq!(reference.loss_trail.len(), 8);
@@ -686,7 +510,7 @@ mod tests {
         };
         {
             let device = fresh_device();
-            let mut t = fresh_trainer();
+            let mut t = fresh_engine();
             let err =
                 run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), false)
                     .unwrap_err();
@@ -701,12 +525,12 @@ mod tests {
             );
         }
 
-        // Resume in a "new process": fresh trainer, fresh device, same
+        // Resume in a "new process": fresh engine, fresh device, same
         // fault plan. The torn snapshot is skipped, the previous ring
         // entry restores, and the trail comes out bit-identical.
         let resumed = {
             let device = fresh_device();
-            let mut t = fresh_trainer();
+            let mut t = fresh_engine();
             let opts = crate::checkpoint::CheckpointOptions {
                 every: 2,
                 ..crate::checkpoint::CheckpointOptions::new(&dir)
@@ -742,13 +566,13 @@ mod tests {
         let opts = crate::checkpoint::CheckpointOptions::new(&dir);
         {
             let device = DeviceMemory::with_gib(24.0);
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+            let mut t = Engine::buffalo(config(&ds), 0.24);
             run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), false).unwrap();
         }
         let device = DeviceMemory::with_gib(24.0);
         let mut other = config(&ds);
         other.lr = 0.123;
-        let mut t = BuffaloTrainer::new(other, 0.24);
+        let mut t = Engine::buffalo(other, 0.24);
         let err = run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), true)
             .unwrap_err();
         assert!(
@@ -770,7 +594,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let opts = crate::checkpoint::CheckpointOptions::new(&dir);
         let device = DeviceMemory::with_gib(24.0);
-        let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+        let mut t = Engine::buffalo(config(&ds), 0.24);
         let err = run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), true)
             .unwrap_err();
         assert!(
@@ -797,7 +621,7 @@ mod tests {
         // Probe the whole-batch peak so the shrink bites mid-iteration.
         let peak = {
             let device = DeviceMemory::with_gib(24.0);
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+            let mut t = Engine::buffalo(config(&ds), 0.24);
             run_epochs(&mut t, &ds, &device, &cost, &cfg).unwrap();
             device.peak()
         };
@@ -810,7 +634,7 @@ mod tests {
         // Seed behavior: recovery exhausts and the run dies.
         {
             let device = FaultyDevice::new(DeviceMemory::new(peak), plan.clone());
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24).with_recovery(policy.clone());
+            let mut t = Engine::buffalo(config(&ds), 0.24).with_recovery(policy.clone());
             let err = run_epochs(&mut t, &ds, &device, &cost, &cfg).unwrap_err();
             assert!(
                 matches!(err, TrainError::RecoveryExhausted { .. }),
@@ -824,7 +648,7 @@ mod tests {
             ..crate::checkpoint::CheckpointOptions::new(&dir)
         };
         let device = FaultyDevice::new(DeviceMemory::new(peak), plan);
-        let mut t = BuffaloTrainer::new(config(&ds), 0.24).with_recovery(policy);
+        let mut t = Engine::buffalo(config(&ds), 0.24).with_recovery(policy);
         let run =
             run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), false).unwrap();
         assert!(run.rollbacks >= 1, "rollback rung never fired");
@@ -839,12 +663,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "split exceeds dataset size")]
     fn oversized_split_is_rejected() {
         let ds = datasets::load(DatasetName::Cora, 9);
         let device = DeviceMemory::with_gib(1.0);
         let cost = CostModel::rtx6000();
-        let mut trainer = FullBatchTrainer::new(config(&ds));
+        let mut engine = Engine::full_batch(config(&ds));
         let cfg = EpochConfig {
             batch_size: 64,
             epochs: 1,
@@ -852,6 +675,27 @@ mod tests {
             eval_nodes: 2_500,
             seed: 1,
         };
-        let _ = run_epochs(&mut trainer, &ds, &device, &cost, &cfg);
+        let err = run_epochs(&mut engine, &ds, &device, &cost, &cfg).unwrap_err();
+        assert!(
+            matches!(err, TrainError::InvalidConfig(ref m) if m.contains("exceeds")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected() {
+        let ds = datasets::load(DatasetName::Cora, 9);
+        let device = DeviceMemory::with_gib(1.0);
+        let cost = CostModel::rtx6000();
+        let mut engine = Engine::full_batch(config(&ds));
+        let cfg = EpochConfig {
+            batch_size: 0,
+            ..epoch_cfg()
+        };
+        let err = run_epochs(&mut engine, &ds, &device, &cost, &cfg).unwrap_err();
+        assert!(
+            matches!(err, TrainError::InvalidConfig(ref m) if m.contains("batch size")),
+            "{err:?}"
+        );
     }
 }

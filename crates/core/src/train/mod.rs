@@ -1,14 +1,16 @@
-//! Trainers: Algorithm 1 (whole-batch, DGL-style) and Algorithm 2
-//! (Buffalo micro-batch training with gradient accumulation), plus an
-//! epoch-level driver with held-out evaluation ([`run_epochs`]).
+//! Training: the shared [`Engine`] — whole-batch (Algorithm 1, DGL-style)
+//! or Buffalo micro-batch training with gradient accumulation
+//! (Algorithm 2) — plus an epoch-level driver with held-out evaluation
+//! ([`run_epochs`]).
 //!
-//! All long-lived state — the model with its Adam moments, the bucket
-//! scheduler, the pipeline/recovery configuration — lives in the shared
-//! [`Engine`]; `FullBatchTrainer` and `BuffaloTrainer` are thin *drivers*
-//! over it, kept as the stable public API. The serving loop in
-//! [`serve`](crate::serve) is another driver over the same engine.
+//! The two algorithms differ in one thing only: whether the engine holds
+//! a bucket scheduler ([`Engine::buffalo`]) or trains each batch whole
+//! ([`Engine::full_batch`]). All long-lived state — the model with its
+//! Adam moments, the scheduler, the pipeline/recovery configuration —
+//! lives in the engine; the epoch loop here and the serving loop in
+//! [`serve`](crate::serve) borrow it call by call.
 //!
-//! Every driver runs on the staged pipeline: a CPU **Prepare**
+//! Every micro-batch runs on the staged pipeline: a CPU **Prepare**
 //! stage (seed restriction, block generation, feature/label gather) and an
 //! in-order **Execute** stage (allocate, forward/backward, free) against
 //! the simulated device. With [`PipelineConfig::overlapped`], preparation
@@ -24,23 +26,14 @@ pub(crate) mod recovery;
 
 pub use device_pool::DevicePool;
 pub use engine::{Engine, InferenceStats};
-pub use epoch::{
-    evaluate, run_epochs, run_epochs_checkpointed, EpochConfig, EpochStats, IterationTrainer,
-    TrainRun,
-};
+pub use epoch::{run_epochs, run_epochs_checkpointed, EpochConfig, EpochStats, TrainRun};
 pub use pipeline::PipelineConfig;
 pub use recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
 
-use crate::checkpoint::{CheckpointError, TrainerState};
-use crate::models::GnnModel;
-use crate::TrainError;
-use buffalo_graph::datasets::Dataset;
-use buffalo_memsim::{CostModel, Device, GnnShape, StageTimings};
+use buffalo_memsim::{GnnShape, StageTimings};
 use buffalo_par::Parallelism;
-use buffalo_sampling::Batch;
-use buffalo_tensor::Tensor;
 
-/// Configuration shared by both trainers.
+/// Training configuration, shared by both engine modes.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Model shape (depth must match `fanouts.len()`).
@@ -75,265 +68,15 @@ pub struct IterationStats {
     pub recovery: Vec<RecoveryEvent>,
 }
 
-/// Gathers the feature tensor for a (micro-)batch's innermost sources.
-pub fn gather_features(ds: &Dataset, batch: &Batch, src_locals: &[u32]) -> Tensor {
-    let dim = ds.spec.feat_dim;
-    let globals: Vec<u32> = src_locals
-        .iter()
-        .map(|&l| batch.global_ids[l as usize])
-        .collect();
-    let mut data = vec![0.0f32; globals.len() * dim];
-    ds.gather_features(&globals, &mut data);
-    Tensor::from_vec(globals.len(), dim, data)
-}
-
-/// Labels for a (micro-)batch's output nodes.
-pub fn gather_labels(ds: &Dataset, batch: &Batch, dst_locals: &[u32]) -> Vec<u32> {
-    dst_locals
-        .iter()
-        .map(|&l| ds.label(batch.global_ids[l as usize]))
-        .collect()
-}
-
-/// Algorithm 1: classic degree-bucketed training of the whole sampled
-/// batch — the single-GPU strategy of DGL/PyG. Fails with
-/// [`TrainError::Oom`] when the batch footprint exceeds the device budget,
-/// reproducing every "OOM" cell in the paper's tables.
-///
-/// A thin driver over a whole-batch [`Engine`]; see
-/// [`Engine::full_batch`].
-#[derive(Debug)]
-pub struct FullBatchTrainer {
-    engine: Engine,
-}
-
-impl FullBatchTrainer {
-    /// Creates a trainer with a fresh model (serial staging — a whole
-    /// batch is one micro-batch, so there is nothing to overlap). OOM
-    /// recovery is disabled by default: a whole batch that does not fit
-    /// fails with [`TrainError::Oom`], reproducing the paper's OOM cells.
-    pub fn new(config: TrainConfig) -> Self {
-        FullBatchTrainer {
-            engine: Engine::full_batch(config),
-        }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The underlying engine, mutably.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// Consumes the driver, returning its engine — e.g. to hand a trained
-    /// model to the serving loop.
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
-    /// The model being trained.
-    pub fn model(&self) -> &GnnModel {
-        self.engine.model()
-    }
-
-    /// The training configuration.
-    pub fn config(&self) -> &TrainConfig {
-        self.engine.config()
-    }
-
-    /// Sets the pipeline configuration.
-    pub fn set_pipeline(&mut self, pipeline: PipelineConfig) {
-        self.engine.set_pipeline(pipeline);
-    }
-
-    /// Builder-style [`set_pipeline`](Self::set_pipeline).
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.engine.set_pipeline(pipeline);
-        self
-    }
-
-    /// Sets the OOM recovery policy. The whole-batch path cannot
-    /// re-split, so only the retry rungs apply.
-    pub fn set_recovery(&mut self, recovery: RecoveryPolicy) {
-        self.engine.set_recovery(recovery);
-    }
-
-    /// Builder-style [`set_recovery`](Self::set_recovery).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.engine.set_recovery(recovery);
-        self
-    }
-
-    /// Captures model + optimizer state for a checkpoint.
-    pub fn capture_state(&mut self) -> TrainerState {
-        self.engine.capture_state()
-    }
-
-    /// Restores captured state bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::StateMismatch`] if the snapshot's parameters do
-    /// not fit this model.
-    pub fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        self.engine.restore_state(state)
-    }
-
-    /// Trains one iteration on `batch`.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Oom`] if the batch does not fit the device.
-    pub fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        self.engine.train_iteration(ds, batch, device, cost)
-    }
-}
-
-/// Algorithm 2: Buffalo training. The scheduler splits the batch into
-/// memory-balanced bucket groups; each group trains as a micro-batch whose
-/// gradients accumulate; the optimizer steps once per iteration, so the
-/// computation is mathematically identical to whole-batch training
-/// (§IV-B).
-///
-/// A thin driver over a scheduled [`Engine`]; see [`Engine::buffalo`].
-#[derive(Debug)]
-pub struct BuffaloTrainer {
-    engine: Engine,
-}
-
-impl BuffaloTrainer {
-    /// Creates a trainer with serial staging. `clustering` is the
-    /// dataset's average clustering coefficient `C` (Table II), consumed
-    /// by the redundancy-aware memory estimator. Enable overlap with
-    /// [`with_pipeline`](Self::with_pipeline) and OOM recovery with
-    /// [`with_recovery`](Self::with_recovery) (disabled by default, so an
-    /// execution-time OOM is terminal exactly as before).
-    pub fn new(config: TrainConfig, clustering: f64) -> Self {
-        BuffaloTrainer {
-            engine: Engine::buffalo(config, clustering),
-        }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The underlying engine, mutably.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// Consumes the driver, returning its engine — e.g. to hand a trained
-    /// model to the serving loop.
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
-    /// The model being trained.
-    pub fn model(&self) -> &GnnModel {
-        self.engine.model()
-    }
-
-    /// The training configuration.
-    pub fn config(&self) -> &TrainConfig {
-        self.engine.config()
-    }
-
-    /// The active pipeline configuration.
-    pub fn pipeline(&self) -> PipelineConfig {
-        self.engine.pipeline()
-    }
-
-    /// Sets the pipeline configuration.
-    pub fn set_pipeline(&mut self, pipeline: PipelineConfig) {
-        self.engine.set_pipeline(pipeline);
-    }
-
-    /// Builder-style [`set_pipeline`](Self::set_pipeline).
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.engine.set_pipeline(pipeline);
-        self
-    }
-
-    /// Sets the OOM recovery policy and re-seeds the headroom calibrator
-    /// from its `headroom` floor.
-    pub fn set_recovery(&mut self, recovery: RecoveryPolicy) {
-        self.engine.set_recovery(recovery);
-    }
-
-    /// Builder-style [`set_recovery`](Self::set_recovery).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.engine.set_recovery(recovery);
-        self
-    }
-
-    /// The calibrator's current headroom multiplier: scheduling
-    /// constraints are `budget / multiplier`.
-    pub fn headroom_multiplier(&self) -> f64 {
-        self.engine.headroom_multiplier()
-    }
-
-    /// Captures model, optimizer, and calibrator state for a checkpoint.
-    pub fn capture_state(&mut self) -> TrainerState {
-        self.engine.capture_state()
-    }
-
-    /// Restores captured state bit-exactly, including the calibrator's
-    /// multiplier.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::StateMismatch`] if the snapshot's parameters do
-    /// not fit this model.
-    pub fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        self.engine.restore_state(state)
-    }
-
-    /// Ensures the headroom multiplier is at least `multiplier` — the
-    /// rollback rung calls this with a compounding boost so each rollback
-    /// schedules more conservatively than the last, instead of replaying
-    /// the same doomed plan.
-    pub fn force_headroom(&mut self, multiplier: f64) {
-        self.engine.force_headroom(multiplier);
-    }
-
-    /// Trains one iteration on `batch` under the device budget.
-    ///
-    /// # Errors
-    ///
-    /// * [`TrainError::Schedule`] if no feasible grouping exists.
-    /// * [`TrainError::Oom`] if a micro-batch still exceeds the budget
-    ///   (estimator under-prediction) and recovery is disabled.
-    /// * [`TrainError::RecoveryExhausted`] if recovery is enabled and
-    ///   every rung of the ladder failed.
-    pub fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        self.engine.train_iteration(ds, batch, device, cost)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::GnnModel;
+    use crate::TrainError;
     use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
-    use buffalo_graph::datasets::{self, DatasetName};
-    use buffalo_memsim::{measure, AggregatorKind, DeviceMemory};
-    use buffalo_sampling::BatchSampler;
+    use buffalo_graph::datasets::{self, Dataset, DatasetName};
+    use buffalo_memsim::{measure, AggregatorKind, CostModel, DeviceMemory};
+    use buffalo_sampling::{Batch, BatchSampler};
 
     fn small_setup() -> (Dataset, Batch, TrainConfig) {
         let ds = datasets::load(DatasetName::Cora, 7);
@@ -367,15 +110,11 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let device = DeviceMemory::with_gib(24.0);
         let cost = CostModel::rtx6000();
-        let mut trainer = FullBatchTrainer::new(config);
-        let first = trainer
-            .train_iteration(&ds, &batch, &device, &cost)
-            .unwrap();
+        let mut engine = Engine::full_batch(config);
+        let first = engine.train_iteration(&ds, &batch, &device, &cost).unwrap();
         let mut last = first.clone();
         for _ in 0..15 {
-            last = trainer
-                .train_iteration(&ds, &batch, &device, &cost)
-                .unwrap();
+            last = engine.train_iteration(&ds, &batch, &device, &cost).unwrap();
         }
         assert!(
             last.loss < first.loss,
@@ -394,8 +133,8 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let device = DeviceMemory::new(1 << 16); // 64 KiB
         let cost = CostModel::rtx6000();
-        let mut trainer = FullBatchTrainer::new(config);
-        let err = trainer
+        let mut engine = Engine::full_batch(config);
+        let err = engine
             .train_iteration(&ds, &batch, &device, &cost)
             .unwrap_err();
         assert!(matches!(err, TrainError::Oom(_)));
@@ -406,8 +145,8 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let big = DeviceMemory::with_gib(24.0);
-        let mut full = FullBatchTrainer::new(config.clone());
-        let mut buffalo = BuffaloTrainer::new(config, 0.24);
+        let mut full = Engine::full_batch(config.clone());
+        let mut buffalo = Engine::buffalo(config, 0.24);
         // Force Buffalo into multiple micro-batches with a small budget
         // that the full batch would not fit.
         let small = DeviceMemory::new(splitting_budget(&batch, &full.config().shape));
@@ -429,16 +168,16 @@ mod tests {
 
     #[test]
     fn pipelined_losses_are_bit_identical_to_serial() {
-        // Satellite requirement: the pipelined trainer must match the
+        // Satellite requirement: the pipelined engine must match the
         // serial path bit-for-bit on losses and accuracy over >= 5
         // iterations — in-order Execute preserves the gradient
         // accumulation order exactly.
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
-        let mut serial = BuffaloTrainer::new(config.clone(), 0.24);
+        let mut serial = Engine::buffalo(config.clone(), 0.24);
         let mut pipelined =
-            BuffaloTrainer::new(config, 0.24).with_pipeline(PipelineConfig::overlapped());
+            Engine::buffalo(config, 0.24).with_pipeline(PipelineConfig::overlapped());
         let dev_s = DeviceMemory::new(budget);
         let dev_p = DeviceMemory::new(budget);
         for i in 0..6 {
@@ -465,11 +204,8 @@ mod tests {
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
         let device = DeviceMemory::new(budget);
-        let mut trainer =
-            BuffaloTrainer::new(config, 0.24).with_pipeline(PipelineConfig::overlapped());
-        let stats = trainer
-            .train_iteration(&ds, &batch, &device, &cost)
-            .unwrap();
+        let mut engine = Engine::buffalo(config, 0.24).with_pipeline(PipelineConfig::overlapped());
+        let stats = engine.train_iteration(&ds, &batch, &device, &cost).unwrap();
         assert!(stats.num_micro_batches > 1);
         let t = &stats.timings;
         assert!(
@@ -479,6 +215,64 @@ mod tests {
             t.serial_sum()
         );
         assert!(t.overlapped_makespan >= t.max_stage() - 1e-12);
+    }
+
+    #[test]
+    fn overlapped_gradients_are_bit_identical_to_serial() {
+        // Not just the losses: every accumulated gradient entry must match
+        // bit for bit between serial and overlapped staging on a batch the
+        // scheduler splits, because Execute consumes in spec order either
+        // way.
+        let (ds, batch, config) = small_setup();
+        let cost = CostModel::rtx6000();
+        let budget = splitting_budget(&batch, &config.shape);
+        let scheduler = buffalo_bucketing::BuffaloScheduler::new(
+            config.shape.clone(),
+            config.fanouts.clone(),
+            0.24,
+        );
+        let plan = scheduler
+            .schedule(&batch.graph, batch.num_seeds, budget)
+            .unwrap();
+        let (specs, estimates) = pipeline::plan_specs(Some(&plan));
+        assert!(specs.len() > 1, "budget did not force split");
+        let run = |cfg: PipelineConfig| {
+            let device = DeviceMemory::new(budget);
+            let mut model = GnnModel::for_shape(&config.shape, config.seed);
+            model.zero_grad();
+            let outcome = pipeline::run_pipeline(
+                &mut model,
+                pipeline::PipelineRequest {
+                    ds: &ds,
+                    batch: &batch,
+                    specs: &specs,
+                    estimates: &estimates,
+                    shape: &config.shape,
+                    grad_divisor: batch.num_seeds,
+                    device: &device,
+                    cost: &cost,
+                    pipeline: cfg,
+                    policy: &RecoveryPolicy::disabled(),
+                    scheduler: None,
+                    calibrator: None,
+                    schedule_seconds: 0.0,
+                },
+            )
+            .unwrap();
+            let grads: Vec<Vec<u32>> = model
+                .params_mut()
+                .iter()
+                .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
+                .collect();
+            (outcome.loss_sum.to_bits(), outcome.micro_batches, grads)
+        };
+        let (serial_loss, serial_k, serial_grads) = run(PipelineConfig::serial());
+        let (overlap_loss, overlap_k, overlap_grads) = run(PipelineConfig::overlapped());
+        assert_eq!(serial_k, specs.len());
+        assert_eq!(serial_k, overlap_k);
+        assert_eq!(serial_loss, overlap_loss);
+        assert!(serial_grads.iter().flatten().any(|&g| g != 0));
+        assert_eq!(serial_grads, overlap_grads);
     }
 
     #[test]
@@ -540,9 +334,9 @@ mod tests {
         let budget = splitting_budget(&batch, &config.shape);
         let dev_s = DeviceMemory::new(budget);
         let dev_p = DeviceMemory::new(budget);
-        let mut serial = BuffaloTrainer::new(config.clone(), 0.24);
+        let mut serial = Engine::buffalo(config.clone(), 0.24);
         let mut pipelined =
-            BuffaloTrainer::new(config, 0.24).with_pipeline(PipelineConfig::overlapped());
+            Engine::buffalo(config, 0.24).with_pipeline(PipelineConfig::overlapped());
         let a = serial.train_iteration(&ds, &batch, &dev_s, &cost).unwrap();
         let b = pipelined
             .train_iteration(&ds, &batch, &dev_p, &cost)
@@ -557,9 +351,9 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let big = DeviceMemory::with_gib(24.0);
-        let mut full = FullBatchTrainer::new(config.clone());
+        let mut full = Engine::full_batch(config.clone());
         let full_stats = full.train_iteration(&ds, &batch, &big, &cost).unwrap();
-        let mut buffalo = BuffaloTrainer::new(config, 0.24);
+        let mut buffalo = Engine::buffalo(config, 0.24);
         let small = DeviceMemory::new(full_stats.peak_mem_bytes * 3 / 4);
         let b_stats = buffalo.train_iteration(&ds, &batch, &small, &cost).unwrap();
         assert!(b_stats.peak_mem_bytes <= small.budget());
@@ -581,8 +375,8 @@ mod tests {
             DeviceMemory::new(budget),
             FaultPlan::parse("transient:nth=1,nth=3,nth=7,nth=12").unwrap(),
         );
-        let mut a = BuffaloTrainer::new(config.clone(), 0.24);
-        let mut b = BuffaloTrainer::new(config, 0.24).with_recovery(RecoveryPolicy::default());
+        let mut a = Engine::buffalo(config.clone(), 0.24);
+        let mut b = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
         let mut recovered = 0usize;
         for i in 0..5 {
             let sa = a.train_iteration(&ds, &batch, &clean, &cost).unwrap();
@@ -618,16 +412,13 @@ mod tests {
         );
         let baseline_k = {
             let clean = DeviceMemory::new(budget);
-            let mut t = BuffaloTrainer::new(config.clone(), 0.24);
+            let mut t = Engine::buffalo(config.clone(), 0.24);
             t.train_iteration(&ds, &batch, &clean, &cost)
                 .unwrap()
                 .num_micro_batches
         };
-        let mut trainer =
-            BuffaloTrainer::new(config, 0.24).with_recovery(RecoveryPolicy::default());
-        let stats = trainer
-            .train_iteration(&ds, &batch, &faulty, &cost)
-            .unwrap();
+        let mut engine = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
+        let stats = engine.train_iteration(&ds, &batch, &faulty, &cost).unwrap();
         assert!(
             stats
                 .recovery
@@ -667,8 +458,8 @@ mod tests {
             max_retries: 2,
             ..RecoveryPolicy::default()
         };
-        let mut trainer = BuffaloTrainer::new(config, 0.24).with_recovery(policy);
-        let err = trainer
+        let mut engine = Engine::buffalo(config, 0.24).with_recovery(policy);
+        let err = engine
             .train_iteration(&ds, &batch, &faulty, &cost)
             .unwrap_err();
         match err {
@@ -706,17 +497,14 @@ mod tests {
                 DeviceMemory::new(budget),
                 FaultPlan::parse("transient:p=0.12,seed=11").unwrap(),
             );
-            let mut trainer =
-                BuffaloTrainer::new(config.clone(), 0.24).with_recovery(RecoveryPolicy {
-                    max_retries: 8,
-                    ..RecoveryPolicy::default()
-                });
+            let mut engine = Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy {
+                max_retries: 8,
+                ..RecoveryPolicy::default()
+            });
             let mut events = Vec::new();
             let mut losses = Vec::new();
             for _ in 0..4 {
-                let s = trainer
-                    .train_iteration(&ds, &batch, &faulty, &cost)
-                    .unwrap();
+                let s = engine.train_iteration(&ds, &batch, &faulty, &cost).unwrap();
                 losses.push(s.loss.to_bits());
                 events.extend(s.recovery);
             }
@@ -747,8 +535,8 @@ mod tests {
             DeviceMemory::new(budget),
             FaultPlan::parse("transient:nth=1").unwrap(),
         );
-        let mut serial = BuffaloTrainer::new(config.clone(), 0.24);
-        let mut pipelined = BuffaloTrainer::new(config, 0.24)
+        let mut serial = Engine::buffalo(config.clone(), 0.24);
+        let mut pipelined = Engine::buffalo(config, 0.24)
             .with_pipeline(PipelineConfig::overlapped())
             .with_recovery(RecoveryPolicy::default());
         let a = serial.train_iteration(&ds, &batch, &clean, &cost).unwrap();
@@ -780,9 +568,8 @@ mod tests {
         let clean = DevicePool::homogeneous(2, budget, &FaultPlan::none()).unwrap();
         let faulty =
             DevicePool::homogeneous(2, budget, &FaultPlan::parse("lose:1,3").unwrap()).unwrap();
-        let mut a =
-            BuffaloTrainer::new(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
-        let mut b = BuffaloTrainer::new(config, 0.24).with_recovery(RecoveryPolicy::default());
+        let mut a = Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
+        let mut b = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
         let mut events = Vec::new();
         for i in 0..5 {
             let sa = a.train_iteration(&ds, &batch, &clean, &cost).unwrap();
@@ -831,9 +618,8 @@ mod tests {
         let pool =
             DevicePool::homogeneous(2, budget, &FaultPlan::parse("lose:0,2;lose:1,2").unwrap())
                 .unwrap();
-        let mut trainer =
-            BuffaloTrainer::new(config, 0.24).with_recovery(RecoveryPolicy::default());
-        let err = trainer
+        let mut engine = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
+        let err = engine
             .train_iteration(&ds, &batch, &pool, &cost)
             .unwrap_err();
         match err {
@@ -892,11 +678,11 @@ mod tests {
         let fresh_pool = |spec: &str| {
             DevicePool::homogeneous(2, budget, &FaultPlan::parse(spec).unwrap()).unwrap()
         };
-        let fresh_trainer =
-            || BuffaloTrainer::new(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
+        let fresh_engine =
+            || Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
         let reference = {
             let pool = fresh_pool("");
-            let mut t = fresh_trainer();
+            let mut t = fresh_engine();
             run_epochs_checkpointed(&mut t, &ds, &pool, &cost, &cfg, None, false).unwrap()
         };
         let opts = crate::checkpoint::CheckpointOptions {
@@ -910,7 +696,7 @@ mod tests {
         };
         {
             let pool = fresh_pool("lose:1,2");
-            let mut t = fresh_trainer();
+            let mut t = fresh_engine();
             let err = run_epochs_checkpointed(&mut t, &ds, &pool, &cost, &cfg, Some(&opts), false)
                 .unwrap_err();
             assert!(matches!(err, TrainError::Checkpoint(_)), "{err:?}");
@@ -918,7 +704,7 @@ mod tests {
         }
         let resumed = {
             let pool = fresh_pool("lose:1,2");
-            let mut t = fresh_trainer();
+            let mut t = fresh_engine();
             let opts = crate::checkpoint::CheckpointOptions {
                 every: 2,
                 ..crate::checkpoint::CheckpointOptions::new(&dir)
@@ -940,7 +726,7 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let device = DeviceMemory::new(16); // 16 bytes
-        let mut buffalo = BuffaloTrainer::new(config, 0.24);
+        let mut buffalo = Engine::buffalo(config, 0.24);
         let err = buffalo
             .train_iteration(&ds, &batch, &device, &cost)
             .unwrap_err();

@@ -5,10 +5,14 @@
 //! * **Prepare** (CPU): seed restriction → fast block generation →
 //!   feature/label gather, producing a [`PreparedBlocks`] handle per
 //!   micro-batch. When the pipeline is enabled this stage runs on a worker
-//!   thread feeding a bounded channel.
+//!   thread feeding a one-slot channel.
 //! * **Execute** (simulated device): allocate → forward/backward → free,
 //!   consuming prepared micro-batches strictly in submission order on the
 //!   caller's thread.
+//!
+//! Training ([`run_pipeline`]) and inference ([`run_inference`]) share
+//! the one stage loop ([`stage_loop`]); they differ only in what Execute
+//! does with a prepared micro-batch.
 //!
 //! Because Execute is in-order and single-threaded, gradient accumulation
 //! happens in exactly the same order as the serial path — pipelined and
@@ -43,7 +47,7 @@ use crate::models::GnnModel;
 use crate::train::recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
 use crate::TrainError;
 use buffalo_blocks::{GenerateOptions, PreparedBlocks};
-use buffalo_bucketing::BuffaloScheduler;
+use buffalo_bucketing::{BuffaloScheduler, SchedulePlan};
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
 use buffalo_memsim::{measure, AllocId, CostModel, Device, DeviceTimeline, GnnShape, StageTimings};
@@ -52,44 +56,31 @@ use buffalo_tensor::{softmax_cross_entropy, Tensor};
 use std::sync::mpsc;
 use std::time::Instant;
 
-/// How a trainer schedules its Prepare and Execute stages.
+/// How an engine schedules its Prepare and Execute stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Whether preparation of micro-batch *i + 1* overlaps device
-    /// execution of micro-batch *i*.
+    /// execution of micro-batch *i* (double buffering: at most two
+    /// micro-batches in flight).
     pub enabled: bool,
-    /// Maximum micro-batches in flight between prepare-start and device
-    /// completion when enabled (2 = double buffering). Values below 2 are
-    /// treated as 2; serial execution is expressed via `enabled: false`.
-    pub depth: usize,
 }
 
 impl PipelineConfig {
     /// Strictly serial staging — the classic one-micro-batch-at-a-time
     /// loop. This is the default.
     pub fn serial() -> Self {
-        PipelineConfig {
-            enabled: false,
-            depth: 1,
-        }
+        PipelineConfig { enabled: false }
     }
 
     /// Double-buffered overlap of Prepare and Execute.
     pub fn overlapped() -> Self {
-        PipelineConfig {
-            enabled: true,
-            depth: 2,
-        }
+        PipelineConfig { enabled: true }
     }
 
-    /// The pipeline depth actually used: 1 when disabled, at least 2 when
-    /// enabled.
-    pub fn effective_depth(&self) -> usize {
-        if self.enabled {
-            self.depth.max(2)
-        } else {
-            1
-        }
+    /// Whether a run of `micro_batches` actually overlaps: a single
+    /// micro-batch has nothing to overlap with.
+    fn overlaps(&self, micro_batches: usize) -> bool {
+        self.enabled && micro_batches > 1
     }
 }
 
@@ -124,10 +115,28 @@ pub(crate) enum MicroSpec<'a> {
     Seeds(&'a [NodeId]),
 }
 
+/// The micro-batch work list for one batch: the whole batch when there is
+/// no plan, else one spec per non-empty bucket group, paired with the
+/// group's plan-time memory estimate (0 when the plan has none).
+pub(crate) fn plan_specs(plan: Option<&SchedulePlan>) -> (Vec<MicroSpec<'_>>, Vec<u64>) {
+    let Some(plan) = plan else {
+        return (vec![MicroSpec::Whole], Vec::new());
+    };
+    plan.groups
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| !g.is_empty())
+        .map(|(i, g)| {
+            let estimate = plan.group_estimates.get(i).copied().unwrap_or(0);
+            (MicroSpec::Seeds(g), estimate)
+        })
+        .unzip()
+}
+
 /// Runs the full Prepare stage for one micro-batch. Returns the handle
 /// plus the seconds spent on seed restriction (reported as part of block
 /// generation — both are graph-structure work).
-fn prepare_one(
+pub(crate) fn prepare_one(
     ds: &Dataset,
     batch: &Batch,
     spec: MicroSpec<'_>,
@@ -534,6 +543,67 @@ fn consume_one(
     Ok(())
 }
 
+/// What the shared stage loop prepares, and where it routes the result.
+struct StageInput<'a> {
+    ds: &'a Dataset,
+    batch: &'a Batch,
+    specs: &'a [MicroSpec<'a>],
+    num_layers: usize,
+    device: &'a dyn Device,
+    /// Offset added to each spec's index for [`Device::begin_micro_batch`].
+    micro_base: usize,
+}
+
+/// The Prepare→Execute loop both training and inference run: prepares
+/// every spec in order — inline, or with `overlap` on one scoped producer
+/// thread that stays one micro-batch ahead — routes each micro-batch's
+/// allocations to a device (a pool round-robins over its live members;
+/// plain devices no-op), and hands it to `execute` strictly in spec
+/// order on the caller's thread. Stops at the first Execute error; the
+/// producer then sees the hang-up and stops preparing.
+fn stage_loop(
+    input: StageInput<'_>,
+    overlap: bool,
+    mut execute: impl FnMut(usize, f64, PreparedBlocks) -> Result<(), TrainError>,
+) -> Result<(), TrainError> {
+    let StageInput {
+        ds,
+        batch,
+        specs,
+        num_layers,
+        device,
+        micro_base,
+    } = input;
+    if !overlap {
+        for (idx, &spec) in specs.iter().enumerate() {
+            let (restrict_s, prepared) = prepare_one(ds, batch, spec, num_layers);
+            device.begin_micro_batch(micro_base + idx);
+            execute(idx, restrict_s, prepared)?;
+        }
+        return Ok(());
+    }
+    std::thread::scope(|s| {
+        // One-slot channel: the producer stays at most one prepared but
+        // unconsumed micro-batch ahead (host-side staging); device
+        // residency is capped separately at two allocations by
+        // `Residency`.
+        let (tx, rx) = mpsc::sync_channel::<(usize, f64, PreparedBlocks)>(1);
+        s.spawn(move || {
+            for (idx, &spec) in specs.iter().enumerate() {
+                let (restrict_s, prepared) = prepare_one(ds, batch, spec, num_layers);
+                if tx.send((idx, restrict_s, prepared)).is_err() {
+                    break;
+                }
+            }
+        });
+        for (idx, restrict_s, prepared) in rx {
+            device.begin_micro_batch(micro_base + idx);
+            execute(idx, restrict_s, prepared)?;
+        }
+        Ok(())
+    })
+}
+
 /// Runs one iteration's micro-batches through the Prepare/Execute
 /// pipeline, accumulating gradients into `model` in spec order.
 pub(crate) fn run_pipeline(
@@ -555,8 +625,7 @@ pub(crate) fn run_pipeline(
         calibrator,
         schedule_seconds,
     } = req;
-    let depth = pipeline.effective_depth().min(specs.len().max(1));
-    let num_layers = shape.num_layers;
+    let overlap = pipeline.overlaps(specs.len());
     let ctx = ExecCtx {
         ds,
         batch,
@@ -567,8 +636,8 @@ pub(crate) fn run_pipeline(
         scheduler,
     };
     let mut st = ExecState {
-        residency: Residency::new(device, depth > 1),
-        timeline: DeviceTimeline::new(depth),
+        residency: Residency::new(device, overlap),
+        timeline: DeviceTimeline::new(if overlap { 2 } else { 1 }),
         timings: StageTimings {
             schedule_seconds,
             ..StageTimings::default()
@@ -579,72 +648,35 @@ pub(crate) fn run_pipeline(
         events: Vec::new(),
         calibrator,
     };
-    let spec_seeds = |idx: usize| -> Option<&[NodeId]> {
-        match specs[idx] {
-            MicroSpec::Whole => None,
-            MicroSpec::Seeds(s) => Some(s),
-        }
-    };
-    let spec_estimate = |idx: usize| estimates.get(idx).copied().unwrap_or(0);
-    let result: Result<(), TrainError> = if depth <= 1 {
-        (|| {
-            for (idx, &spec) in specs.iter().enumerate() {
-                let (restrict_s, prepared) = prepare_one(ds, batch, spec, num_layers);
-                // Route this micro-batch's allocations: a device pool
-                // round-robins over its live members; plain devices no-op.
-                device.begin_micro_batch(idx);
-                consume_one(
-                    model,
-                    &ctx,
-                    &mut st,
-                    MicroWork {
-                        restrict_s,
-                        prepared,
-                        seeds: spec_seeds(idx),
-                        estimate: spec_estimate(idx),
-                        depth: 0,
-                        assign_idx: idx,
+    stage_loop(
+        StageInput {
+            ds,
+            batch,
+            specs,
+            num_layers: shape.num_layers,
+            device,
+            micro_base: 0,
+        },
+        overlap,
+        |idx, restrict_s, prepared| {
+            consume_one(
+                model,
+                &ctx,
+                &mut st,
+                MicroWork {
+                    restrict_s,
+                    prepared,
+                    seeds: match specs[idx] {
+                        MicroSpec::Whole => None,
+                        MicroSpec::Seeds(s) => Some(s),
                     },
-                )?;
-            }
-            Ok(())
-        })()
-    } else {
-        std::thread::scope(|s| {
-            // Bounded channel: the producer stays at most `depth - 1`
-            // prepared-but-unconsumed micro-batches ahead (host-side
-            // staging); device residency is capped separately at two
-            // allocations by `Residency`.
-            let (tx, rx) = mpsc::sync_channel::<(usize, f64, PreparedBlocks)>(depth - 1);
-            s.spawn(move || {
-                for (idx, &spec) in specs.iter().enumerate() {
-                    let (restrict_s, prepared) = prepare_one(ds, batch, spec, num_layers);
-                    // The consumer hit an error and hung up: stop preparing.
-                    if tx.send((idx, restrict_s, prepared)).is_err() {
-                        break;
-                    }
-                }
-            });
-            for (idx, restrict_s, prepared) in rx {
-                device.begin_micro_batch(idx);
-                consume_one(
-                    model,
-                    &ctx,
-                    &mut st,
-                    MicroWork {
-                        restrict_s,
-                        prepared,
-                        seeds: spec_seeds(idx),
-                        estimate: spec_estimate(idx),
-                        depth: 0,
-                        assign_idx: idx,
-                    },
-                )?;
-            }
-            Ok(())
-        })
-    };
-    result?;
+                    estimate: estimates.get(idx).copied().unwrap_or(0),
+                    depth: 0,
+                    assign_idx: idx,
+                },
+            )
+        },
+    )?;
     st.residency.finish();
     st.timings.overlapped_makespan = schedule_seconds + st.timeline.makespan();
     Ok(PipelineOutcome {
@@ -751,43 +783,25 @@ pub(crate) fn run_inference(
     model: &GnnModel,
     req: InferRequest<'_>,
 ) -> Result<InferOutcome, TrainError> {
-    let depth = req.pipeline.effective_depth().min(req.specs.len().max(1));
-    let num_layers = req.shape.num_layers;
-    let mut residency = Residency::new(req.device, depth > 1);
+    let overlap = req.pipeline.overlaps(req.specs.len());
+    let mut residency = Residency::new(req.device, overlap);
     let mut out = InferOutcome {
         predictions: Vec::new(),
         micro_batches: 0,
         device_seconds: 0.0,
     };
-    let result: Result<(), TrainError> = if depth <= 1 {
-        (|| {
-            for (idx, &spec) in req.specs.iter().enumerate() {
-                req.device.begin_micro_batch(req.micro_base + idx);
-                let (_restrict_s, prepared) = prepare_one(req.ds, req.batch, spec, num_layers);
-                infer_one(model, &req, &mut residency, &mut out, prepared)?;
-            }
-            Ok(())
-        })()
-    } else {
-        std::thread::scope(|s| {
-            let (tx, rx) = mpsc::sync_channel::<(usize, PreparedBlocks)>(depth - 1);
-            let (ds, batch, specs) = (req.ds, req.batch, req.specs);
-            s.spawn(move || {
-                for (idx, &spec) in specs.iter().enumerate() {
-                    let (_restrict_s, prepared) = prepare_one(ds, batch, spec, num_layers);
-                    if tx.send((idx, prepared)).is_err() {
-                        break;
-                    }
-                }
-            });
-            for (idx, prepared) in rx {
-                req.device.begin_micro_batch(req.micro_base + idx);
-                infer_one(model, &req, &mut residency, &mut out, prepared)?;
-            }
-            Ok(())
-        })
-    };
-    result?;
+    stage_loop(
+        StageInput {
+            ds: req.ds,
+            batch: req.batch,
+            specs: req.specs,
+            num_layers: req.shape.num_layers,
+            device: req.device,
+            micro_base: req.micro_base,
+        },
+        overlap,
+        |_idx, _restrict_s, prepared| infer_one(model, &req, &mut residency, &mut out, prepared),
+    )?;
     residency.finish();
     Ok(out)
 }

@@ -11,13 +11,13 @@
 //! equivalent.)
 
 use crate::models::GnnModel;
-use crate::train::{gather_features, gather_labels, TrainConfig};
+use crate::train::pipeline::{plan_specs, run_pipeline, MicroSpec, PipelineRequest};
+use crate::train::{PipelineConfig, RecoveryPolicy, TrainConfig};
 use crate::TrainError;
-use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
 use buffalo_bucketing::BuffaloScheduler;
 use buffalo_graph::datasets::Dataset;
+use buffalo_memsim::{CostModel, DeviceMemory, GnnShape};
 use buffalo_sampling::Batch;
-use buffalo_tensor::softmax_cross_entropy;
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,27 +42,38 @@ impl EquivalenceReport {
     }
 }
 
-/// Runs forward + backward over `blocks_of` a (micro-)batch, accumulating
-/// gradients into `model`; returns the summed (not averaged) loss.
+/// Runs `specs` of `batch` through the training pipeline on a roomy
+/// device, from fresh weights seeded with `seed`: returns the model with
+/// its accumulated gradients and the summed (not averaged) loss. Every
+/// micro-batch divides its loss gradient by the whole batch's seed count.
 fn accumulate(
-    model: &mut GnnModel,
+    shape: &GnnShape,
+    seed: u64,
     ds: &Dataset,
     batch: &Batch,
-    depth: usize,
-    divisor: usize,
-) -> f64 {
-    let blocks = generate_blocks_fast(
-        &batch.graph,
-        batch.num_seeds,
-        depth,
-        GenerateOptions::default(),
-    );
-    let features = gather_features(ds, batch, blocks[0].src_nodes());
-    let labels = gather_labels(ds, batch, blocks.last().unwrap().dst_nodes());
-    let (logits, cache) = model.forward(&blocks, &features);
-    let out = softmax_cross_entropy(&logits, &labels, Some(divisor));
-    model.backward(&blocks, &cache, &out.dlogits);
-    out.loss as f64 * labels.len() as f64
+    specs: &[MicroSpec<'_>],
+) -> Result<(GnnModel, f64), TrainError> {
+    let mut model = GnnModel::for_shape(shape, seed);
+    model.zero_grad();
+    let outcome = run_pipeline(
+        &mut model,
+        PipelineRequest {
+            ds,
+            batch,
+            specs,
+            estimates: &[],
+            shape,
+            grad_divisor: batch.num_seeds,
+            device: &DeviceMemory::with_gib(1024.0),
+            cost: &CostModel::rtx6000(),
+            pipeline: PipelineConfig::serial(),
+            policy: &RecoveryPolicy::disabled(),
+            scheduler: None,
+            calibrator: None,
+            schedule_seconds: 0.0,
+        },
+    )?;
+    Ok((model, outcome.loss_sum))
 }
 
 /// Computes whole-batch and Buffalo micro-batch gradients from identical
@@ -78,25 +89,15 @@ pub fn verify_gradient_equivalence(
     clustering: f64,
     budget_bytes: u64,
 ) -> Result<EquivalenceReport, TrainError> {
-    let depth = config.shape.num_layers;
-    let n = batch.num_seeds;
-    // Whole-batch gradient.
-    let mut whole = GnnModel::for_shape(&config.shape, config.seed);
-    whole.zero_grad();
-    let whole_loss = accumulate(&mut whole, ds, batch, depth, n) / n as f64;
+    let n = batch.num_seeds as f64;
+    let (mut whole, whole_loss) =
+        accumulate(&config.shape, config.seed, ds, batch, &[MicroSpec::Whole])?;
     // Micro-batch gradient accumulation over a Buffalo plan.
     let scheduler = BuffaloScheduler::new(config.shape.clone(), config.fanouts.clone(), clustering);
     let plan = scheduler.schedule(&batch.graph, batch.num_seeds, budget_bytes)?;
-    let mut micro = GnnModel::for_shape(&config.shape, config.seed);
-    micro.zero_grad();
-    let mut micro_loss = 0.0f64;
-    let mut micro_batches = 0usize;
-    for group in plan.groups.iter().filter(|g| !g.is_empty()) {
-        let m = batch.restrict_to_seeds(group);
-        micro_loss += accumulate(&mut micro, ds, &m, depth, n);
-        micro_batches += 1;
-    }
-    micro_loss /= n as f64;
+    let (specs, _) = plan_specs(Some(&plan));
+    let (mut micro, micro_loss) = accumulate(&config.shape, config.seed, ds, batch, &specs)?;
+    let (whole_loss, micro_loss) = (whole_loss / n, micro_loss / n);
     // Compare gradients with per-tensor normalization: the worst absolute
     // entry difference relative to the tensor's own gradient magnitude
     // (the standard `allclose`-style check). Summation-order noise is a
@@ -120,15 +121,16 @@ pub fn verify_gradient_equivalence(
     Ok(EquivalenceReport {
         max_grad_divergence,
         loss_divergence: (whole_loss - micro_loss).abs() / whole_loss.abs().max(1e-9),
-        micro_batches,
+        micro_batches: specs.len(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
     use buffalo_graph::datasets::{self, DatasetName};
-    use buffalo_memsim::{measure, AggregatorKind, GnnShape};
+    use buffalo_memsim::{measure, AggregatorKind};
     use buffalo_sampling::BatchSampler;
 
     fn setup(aggregator: AggregatorKind) -> (Dataset, Batch, TrainConfig, u64) {
@@ -189,12 +191,9 @@ mod tests {
     fn different_weights_are_detected() {
         // Sanity: the metric must flag genuinely different gradients.
         let (ds, batch, config, _) = setup(AggregatorKind::Mean);
-        let mut a = GnnModel::for_shape(&config.shape, 5);
-        let mut b = GnnModel::for_shape(&config.shape, 999);
-        a.zero_grad();
-        b.zero_grad();
-        let _ = accumulate(&mut a, &ds, &batch, 2, batch.num_seeds);
-        let _ = accumulate(&mut b, &ds, &batch, 2, batch.num_seeds);
+        let whole = [MicroSpec::Whole];
+        let (mut a, _) = accumulate(&config.shape, 5, &ds, &batch, &whole).unwrap();
+        let (mut b, _) = accumulate(&config.shape, 999, &ds, &batch, &whole).unwrap();
         let mut worst = 0.0f64;
         for (x, y) in a.params_mut().iter().zip(b.params_mut().iter()) {
             for (&u, &v) in x.grad.data().iter().zip(y.grad.data()) {

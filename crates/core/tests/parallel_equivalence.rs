@@ -180,7 +180,7 @@ fn gat_is_bitwise_thread_invariant() {
 /// loss whether it runs on one thread or several.
 #[test]
 fn trainer_loss_is_bitwise_thread_invariant() {
-    use buffalo_core::train::{FullBatchTrainer, TrainConfig};
+    use buffalo_core::train::{Engine, TrainConfig};
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{CostModel, DeviceMemory};
     use buffalo_sampling::BatchSampler;
@@ -208,7 +208,7 @@ fn trainer_loss_is_bitwise_thread_invariant() {
                 ..Parallelism::auto()
             },
         };
-        let mut trainer = FullBatchTrainer::new(config);
+        let mut trainer = Engine::full_batch(config);
         (0..3)
             .map(|_| {
                 trainer

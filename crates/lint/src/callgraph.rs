@@ -14,6 +14,13 @@
 //!   `f` in the workspace — the receiver's type is unknown, so all
 //!   candidates are followed.
 //!
+//! Resolution stops at nested-workspace boundaries: a directory whose
+//! `Cargo.toml` has its own `[workspace]` table is a separate Cargo
+//! workspace that nothing outside it can depend on, so calls from
+//! outside that directory never get an edge into it. Calls from inside
+//! it still reach the outer workspace (it may path-depend on the outer
+//! crates).
+//!
 //! A call site with more than one candidate is *ambiguous*: the edges
 //! are all kept (reachability stays sound) and the site is counted in
 //! [`CallGraph::ambiguous_sites`], which `ci.sh` prints so resolver
@@ -78,21 +85,42 @@ fn aliases(f: &FnItem) -> Vec<&str> {
     out
 }
 
+/// The innermost nested-workspace directory (`/`-terminated path
+/// prefix) containing `file`, if any.
+fn home<'b>(file: &str, boundaries: &'b [String]) -> Option<&'b str> {
+    boundaries
+        .iter()
+        .filter(|b| file.starts_with(b.as_str()))
+        .max_by_key(|b| b.len())
+        .map(String::as_str)
+}
+
 impl CallGraph {
     /// Builds the graph from every parsed function in the workspace.
-    pub fn build(mut fns: Vec<FnItem>) -> CallGraph {
+    /// `boundaries` lists the nested-workspace directories as
+    /// `/`-terminated path prefixes (empty when there are none).
+    pub fn build(mut fns: Vec<FnItem>, boundaries: &[String]) -> CallGraph {
         fns.sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.as_str()).or_default().push(i);
         }
+        let homes: Vec<Option<&str>> = fns.iter().map(|f| home(&f.file, boundaries)).collect();
 
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
         let mut n_edges = 0usize;
         let mut ambiguous_sites = 0usize;
         for i in 0..fns.len() {
             for c in &fns[i].calls {
-                let cands = resolve(&fns, &by_name, &fns[i].file, c);
+                let caller = fns[i].file.as_str();
+                let visible: Vec<usize> = by_name
+                    .get(c.name.as_str())
+                    .into_iter()
+                    .flatten()
+                    .copied()
+                    .filter(|&t| homes[t].is_none_or(|h| caller.starts_with(h)))
+                    .collect();
+                let cands = resolve(&fns, &visible, caller, c);
                 if cands.len() > 1 {
                     ambiguous_sites += 1;
                 }
@@ -124,15 +152,9 @@ impl CallGraph {
     }
 }
 
-fn resolve(
-    fns: &[FnItem],
-    by_name: &BTreeMap<&str, Vec<usize>>,
-    caller_file: &str,
-    c: &CallSite,
-) -> Vec<usize> {
-    let Some(all) = by_name.get(c.name.as_str()) else {
-        return Vec::new();
-    };
+/// Picks the targets of call site `c` among `all`, the visible
+/// functions bearing its name.
+fn resolve(fns: &[FnItem], all: &[usize], caller_file: &str, c: &CallSite) -> Vec<usize> {
     if c.method {
         return all
             .iter()
@@ -178,7 +200,7 @@ mod tests {
             let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
             fns.extend(parse_fns(path, &toks, &code));
         }
-        CallGraph::build(fns)
+        CallGraph::build(fns, &[])
     }
 
     fn idx(g: &CallGraph, name: &str) -> usize {
@@ -243,6 +265,36 @@ mod tests {
         for e in &g.edges[root] {
             assert!(g.fns[e.to].impl_type.is_some());
         }
+    }
+
+    #[test]
+    fn method_calls_stop_at_nested_workspace_boundaries() {
+        // `nested/` is a separate Cargo workspace: the root's `.set()`
+        // must not resolve into it, only to the same-workspace impl,
+        // while calls from inside `nested/` still reach the outer crates.
+        let mut fns = Vec::new();
+        for (path, src) in [
+            ("core/a.rs", "fn root(r: &R) { r.set(); }\n"),
+            ("core/b.rs", "impl R { fn set(&self) { panic!() } }\n"),
+            (
+                "nested/src/report.rs",
+                "impl Report { fn set(&self) { panic!() } }\nfn bench(r: &R) { r.set(); }\n",
+            ),
+        ] {
+            let toks = lex(src);
+            let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
+            fns.extend(parse_fns(path, &toks, &code));
+        }
+        let g = CallGraph::build(fns, &["nested/".to_string()]);
+        let files = |caller: &str| -> Vec<&str> {
+            g.edges[idx(&g, caller)]
+                .iter()
+                .map(|e| g.fns[e.to].file.as_str())
+                .collect()
+        };
+        assert_eq!(files("root"), ["core/b.rs"]);
+        assert_eq!(files("bench"), ["core/b.rs", "nested/src/report.rs"]);
+        assert_eq!(g.ambiguous_sites, 1);
     }
 
     #[test]

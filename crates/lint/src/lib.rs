@@ -461,6 +461,17 @@ pub struct GraphStats {
 /// waiver resolution. `sources` holds `(path, text)` pairs, the path
 /// being what diagnostics report and [`Config`] scoping matches.
 pub fn check_sources(sources: &[(String, String)], cfg: &Config) -> (Vec<Diagnostic>, GraphStats) {
+    check_program(sources, &[], cfg)
+}
+
+/// [`check_sources`] with the nested-workspace directories (`/`-terminated
+/// path prefixes) at which call resolution stops; see
+/// [`CallGraph::build`].
+fn check_program(
+    sources: &[(String, String)],
+    boundaries: &[String],
+    cfg: &Config,
+) -> (Vec<Diagnostic>, GraphStats) {
     let mut raw = Vec::new();
     let mut ws = WaiverSet::new();
     let mut all_fns = Vec::new();
@@ -483,7 +494,7 @@ pub fn check_sources(sources: &[(String, String)], cfg: &Config) -> (Vec<Diagnos
         all_fns.extend(parser::parse_fns(path, &toks, &ctx.code));
     }
 
-    let g = CallGraph::build(all_fns);
+    let g = CallGraph::build(all_fns, boundaries);
     analyses::panic_reach::run(&g, cfg, &mut ws, &mut raw);
     analyses::wallclock::run(&g, cfg, &mut ws, &mut raw);
     analyses::rng::run(&g, cfg, &mut ws, &mut raw);
@@ -528,7 +539,33 @@ pub struct Report {
 /// shims (third-party API surface, not Buffalo code), and VCS metadata.
 const SKIP_DIRS: [&str; 6] = ["target", "tests", "benches", "shims", ".git", ".claude"];
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Whether `dir` holds a `Cargo.toml` with its own `[workspace]` table.
+fn is_workspace_root(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+}
+
+/// `path` relative to `root`, `/`-separated.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// Walks `dir` collecting `.rs` files into `out` and nested-workspace
+/// directories (below `root`) into `nested`.
+fn collect_rs_files(
+    root: &Path,
+    dir: &Path,
+    out: &mut Vec<PathBuf>,
+    nested: &mut Vec<String>,
+) -> io::Result<()> {
+    if dir != root && is_workspace_root(dir) {
+        nested.push(format!("{}/", rel_path(root, dir)));
+    }
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .collect::<io::Result<Vec<_>>>()?
         .into_iter()
@@ -541,7 +578,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if p.is_dir() {
             if !SKIP_DIRS.contains(&name) {
-                collect_rs_files(&p, out)?;
+                collect_rs_files(root, &p, out, nested)?;
             }
         } else if name.ends_with(".rs") {
             out.push(p);
@@ -552,22 +589,18 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Lints every `.rs` file under `root` (minus the skipped build/VCS
 /// directories) as one program and returns the surviving diagnostics
-/// sorted by (file, line, col).
+/// sorted by (file, line, col). Directories below `root` that are Cargo
+/// workspaces of their own stay scanned, but calls from outside them
+/// never resolve into them.
 pub fn run_check(root: &Path, cfg: &Config) -> io::Result<Report> {
     let mut files = Vec::new();
-    collect_rs_files(root, &mut files)?;
+    let mut nested = Vec::new();
+    collect_rs_files(root, root, &mut files, &mut nested)?;
     let mut sources = Vec::with_capacity(files.len());
     for f in &files {
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(f)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        sources.push((rel, fs::read_to_string(f)?));
+        sources.push((rel_path(root, f), fs::read_to_string(f)?));
     }
-    let (diags, graph) = check_sources(&sources, cfg);
+    let (diags, graph) = check_program(&sources, &nested, cfg);
     Ok(Report {
         diags,
         files_scanned: files.len(),
@@ -839,6 +872,42 @@ mod tests {
         let (d, _) = check_sources(&sources, &roots_cfg(&["root.rs"]));
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "unused-waiver");
+    }
+
+    #[test]
+    fn run_check_stops_resolution_at_nested_workspaces() {
+        // A root's `.set()` must not reach the panicking `set` of a
+        // directory that is a Cargo workspace of its own, but must still
+        // reach the one in its own workspace.
+        let root = std::env::temp_dir().join(format!("buffalo-lint-nested-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let write = |rel: &str, text: &str| {
+            let p = root.join(rel);
+            fs::create_dir_all(p.parent().unwrap()).unwrap();
+            fs::write(p, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"core\"]\n");
+        write("core/src/root.rs", "pub fn ladder(r: &R) { r.set(); }\n");
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
+        );
+        write(
+            "bench/src/report.rs",
+            "impl Report { pub fn set(&self) { panic!(\"bench\") } }\n",
+        );
+        let lint = || run_check(&root, &roots_cfg(&["core/src/root.rs"])).unwrap();
+        let report = lint();
+        assert_eq!(report.files_scanned, 2);
+        assert!(report.diags.is_empty(), "{:?}", report.diags);
+        write(
+            "core/src/cell.rs",
+            "impl Cell { pub fn set(&self) { panic!(\"core\") } }\n",
+        );
+        let report = lint();
+        assert_eq!(report.diags.len(), 1, "{:?}", report.diags);
+        assert_eq!(report.diags[0].file, "core/src/cell.rs");
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

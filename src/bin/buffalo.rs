@@ -414,9 +414,9 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
     let cost = CostModel::rtx6000();
     // The CLI drives the engine directly: the same object type the serve
     // command uses, so a future `train --then-serve` is one borrow away.
-    let mut trainer = Engine::buffalo(config, s.clustering).with_pipeline(pipeline);
+    let mut engine = Engine::buffalo(config, s.clustering).with_pipeline(pipeline);
     if recovery_on {
-        trainer.set_recovery(RecoveryPolicy {
+        engine.set_recovery(RecoveryPolicy {
             enabled: true,
             max_retries: o.get("max-retries", 3)?,
             headroom: o.get("headroom", 1.0)?,
@@ -431,7 +431,7 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         seed: 5,
     };
     let run = run_epochs_checkpointed(
-        &mut trainer,
+        &mut engine,
         &s.ds,
         device,
         &cost,
@@ -508,7 +508,7 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         println!(
             "recovery: {} events, headroom multiplier {:.3}",
             recovery_events,
-            trainer.headroom_multiplier()
+            engine.headroom_multiplier()
         );
     }
     if ckpt.is_some() || pool.is_some() {

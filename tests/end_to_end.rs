@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full training pipeline from dataset
 //! generation through Buffalo scheduling to converged weights.
 
-use buffalo::core::train::{BuffaloTrainer, FullBatchTrainer, TrainConfig};
+use buffalo::core::train::{Engine, TrainConfig};
 use buffalo::core::TrainError;
 use buffalo::graph::datasets::{self, DatasetName};
 use buffalo::memsim::{AggregatorKind, CostModel, DeviceMemory, GnnShape};
@@ -34,7 +34,7 @@ fn setup(
 fn whole_pipeline_learns_the_synthetic_task() {
     let (ds, batch, config, cost) = setup(DatasetName::Cora, 128, AggregatorKind::Mean);
     let device = DeviceMemory::with_gib(24.0);
-    let mut trainer = FullBatchTrainer::new(config);
+    let mut trainer = Engine::full_batch(config);
     let mut losses = Vec::new();
     for _ in 0..25 {
         losses.push(
@@ -68,7 +68,7 @@ fn buffalo_and_full_batch_converge_identically() {
     ] {
         let (ds, batch, config, cost) = setup(name, 96, aggregator);
         let unlimited = DeviceMemory::new(u64::MAX);
-        let mut probe = FullBatchTrainer::new(config.clone());
+        let mut probe = Engine::full_batch(config.clone());
         let whole = probe
             .train_iteration(&ds, &batch, &unlimited, &cost)
             .unwrap();
@@ -79,13 +79,13 @@ fn buffalo_and_full_batch_converge_identically() {
             .iter()
             .map(|pct| DeviceMemory::new(whole.peak_mem_bytes * pct / 100))
             .find(|b| {
-                BuffaloTrainer::new(config.clone(), 0.24)
+                Engine::buffalo(config.clone(), 0.24)
                     .train_iteration(&ds, &batch, b, &cost)
                     .is_ok()
             })
             .unwrap_or_else(|| panic!("{aggregator:?}: no feasible sub-whole budget"));
-        let mut full = FullBatchTrainer::new(config.clone());
-        let mut buffalo = BuffaloTrainer::new(config, 0.24);
+        let mut full = Engine::full_batch(config.clone());
+        let mut buffalo = Engine::buffalo(config, 0.24);
         let mut saw_multiple_micro_batches = false;
         for i in 0..6 {
             let sf = full
@@ -117,13 +117,13 @@ fn buffalo_and_full_batch_converge_identically() {
 fn buffalo_never_exceeds_its_budget() {
     let (ds, batch, config, cost) = setup(DatasetName::OgbnArxiv, 256, AggregatorKind::Lstm);
     let unlimited = DeviceMemory::new(u64::MAX);
-    let mut probe = FullBatchTrainer::new(config.clone());
+    let mut probe = Engine::full_batch(config.clone());
     let whole = probe
         .train_iteration(&ds, &batch, &unlimited, &cost)
         .unwrap();
     for divisor in [2u64, 3, 4] {
         let budget = DeviceMemory::new(whole.peak_mem_bytes / divisor);
-        let mut trainer = BuffaloTrainer::new(config.clone(), 0.06);
+        let mut trainer = Engine::buffalo(config.clone(), 0.06);
         match trainer.train_iteration(&ds, &batch, &budget, &cost) {
             Ok(stats) => {
                 assert!(
@@ -146,7 +146,7 @@ fn buffalo_never_exceeds_its_budget() {
 fn full_batch_oom_is_deterministic_and_clean() {
     let (ds, batch, config, cost) = setup(DatasetName::Cora, 128, AggregatorKind::Lstm);
     let device = DeviceMemory::new(1 << 20); // 1 MiB: hopeless
-    let mut trainer = FullBatchTrainer::new(config);
+    let mut trainer = Engine::full_batch(config);
     for _ in 0..3 {
         let err = trainer
             .train_iteration(&ds, &batch, &device, &cost)
@@ -163,7 +163,7 @@ fn gat_trains_on_citation_graph_with_zero_in_degree_nodes() {
     // empty neighborhoods (Betty cannot — see baselines.rs).
     let (ds, batch, config, cost) = setup(DatasetName::OgbnPapers, 64, AggregatorKind::Attention);
     let device = DeviceMemory::with_gib(24.0);
-    let mut trainer = FullBatchTrainer::new(config);
+    let mut trainer = Engine::full_batch(config);
     let stats = trainer
         .train_iteration(&ds, &batch, &device, &cost)
         .unwrap();
