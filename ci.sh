@@ -66,6 +66,26 @@ if grep -q 'panicked' <<<"$bad_err"; then
 fi
 echo "ci: train --batch-size 0 rejected without a panic"
 
+# A standalone device that loses itself has nothing to fail over to:
+# both ladders must exhaust at once with a structured error (exit 1),
+# not fail over onto the dead device forever (a timeout, 124, or the OOM
+# killer, 137) and not panic.
+for cmd in "train cora --epochs 1 --budget 12M" "serve cora --budget 12M"; do
+  code=0
+  # shellcheck disable=SC2086 # $cmd is a word list on purpose
+  lost_err=$(timeout 120 cargo run -q --release --bin buffalo -- $cmd --faults 'lose:0,5' 2>&1 >/dev/null) || code=$?
+  if [ "$code" -eq 0 ] || [ "$code" -eq 124 ] || [ "$code" -eq 137 ]; then
+    echo "ci: FAIL — single-device $cmd with lose:0,5 exited $code" >&2
+    exit 1
+  fi
+  if ! grep -q 'recovery exhausted' <<<"$lost_err" || grep -q 'panicked' <<<"$lost_err"; then
+    echo "ci: FAIL — single-device $cmd with lose:0,5 did not exhaust cleanly:" >&2
+    printf '%s\n' "$lost_err" >&2
+    exit 1
+  fi
+done
+echo "ci: single-device device loss exhausts recovery for train and serve"
+
 # The pipeline toggle must train end-to-end both ways.
 cargo run -q --release --bin buffalo -- train cora --epochs 1 --budget 12M --pipeline off
 cargo run -q --release --bin buffalo -- train cora --epochs 1 --budget 12M --pipeline on

@@ -161,19 +161,21 @@ pub fn config_fingerprint(cfg: &TrainConfig, epoch_cfg: &EpochConfig) -> u64 {
     h.finish()
 }
 
-struct Fnv(u64);
+/// FNV-1a over a sequence of u64 words, byte-wise: config fingerprints
+/// here and the serving loop's `answers:`/`digest:` outputs.
+pub(crate) struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
-    fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
-    fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }

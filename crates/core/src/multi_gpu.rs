@@ -9,13 +9,8 @@
 //! gradient all-reduce is costed over the PCIe link.
 //!
 //! This is an *analytic* driver over [`crate::sim`]; it holds no model
-//! state. It now has an *executing* counterpart: the elastic
-//! [`DevicePool`](crate::train::DevicePool) runs real multi-device epochs
-//! through the shared [`crate::train::Engine`], round-robin-sharding
-//! bucket groups across pool members and surviving whole-device loss
-//! mid-epoch via the recovery ladder's failover rung (`--gpus` in the
-//! CLI). This module remains the cheap what-if calculator for speedup
-//! and all-reduce arithmetic; the pool is where state actually lives.
+//! state. The executing counterpart is
+//! [`DevicePool`](crate::train::DevicePool).
 
 use crate::sim::{simulate_iteration, SimContext, SimReport, Strategy};
 use crate::TrainError;

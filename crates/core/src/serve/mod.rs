@@ -15,7 +15,8 @@
 //!   timed out;
 //! * [`recovery`] — an inference recovery ladder mirroring the training
 //!   rungs (failover → bounded retry → degrade batch width → re-split)
-//!   with a structured [`ServeRecoveryEvent`] trail;
+//!   with a structured [`RecoveryEvent`] trail in the training ladder's
+//!   vocabulary;
 //! * [`trace`] — seeded Poisson request traces.
 //!
 //! Everything is deterministic by construction, the same discipline as
@@ -42,12 +43,11 @@ pub mod recovery;
 pub mod trace;
 
 pub use admission::{Admission, AdmissionQueue, QueueEntry, ShedPolicy};
-pub use recovery::{
-    ServeRecoveryAction, ServeRecoveryCounts, ServeRecoveryEvent, ServeRecoveryPolicy,
-};
+pub use recovery::ServeRecoveryPolicy;
 pub use trace::{Request, RequestTrace};
 
-use crate::train::Engine;
+use crate::checkpoint::Fnv;
+use crate::train::{Engine, RecoveryCounts, RecoveryEvent};
 use crate::TrainError;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
@@ -229,7 +229,7 @@ pub struct ServeReport {
     /// Latency distribution over completed requests.
     pub latency: LatencySummary,
     /// Every recovery rung taken over the run, in order.
-    pub recovery: Vec<ServeRecoveryEvent>,
+    pub recovery: Vec<RecoveryEvent>,
     /// The coalescing width the run ended with (< the configured
     /// `max_batch` if the degrade rung fired).
     pub effective_max_batch: usize,
@@ -244,26 +244,10 @@ pub struct ServeReport {
     pub answer_digest: u64,
 }
 
-/// FNV-1a over a sequence of u64 words, byte-wise.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 impl ServeReport {
     /// Counts of each recovery rung taken.
-    pub fn recovery_counts(&self) -> ServeRecoveryCounts {
-        ServeRecoveryCounts::from_events(&self.recovery)
+    pub fn recovery_counts(&self) -> RecoveryCounts {
+        RecoveryCounts::from_events(&self.recovery)
     }
 
     /// Renders the aggregate numbers as a JSON object (the
@@ -357,7 +341,7 @@ impl ServeReport {
 /// * [`TrainError::InvalidConfig`] for an empty trace, an invalid
 ///   [`ServeConfig`] (see [`ServeConfig::validate`]), or a query for a
 ///   node outside the dataset.
-/// * [`TrainError::ServeRecoveryExhausted`] when every ladder rung failed
+/// * [`TrainError::RecoveryExhausted`] when every ladder rung failed
 ///   for one dispatch (or any [`Engine::infer`] failure with recovery
 ///   disabled).
 pub fn serve_trace(
@@ -386,7 +370,7 @@ pub fn serve_trace(
     let sampler = BatchSampler::new(engine.config().fanouts.clone());
     let mut queue = AdmissionQueue::new(cfg.queue_depth, cfg.shed_policy);
     let mut served: Vec<ServedRequest> = Vec::with_capacity(trace.requests.len());
-    let mut events: Vec<ServeRecoveryEvent> = Vec::new();
+    let mut events: Vec<RecoveryEvent> = Vec::new();
     let mut effective_max_batch = cfg.max_batch;
     let mut device_free = 0.0f64;
     let mut peak_mem = 0u64;
@@ -533,22 +517,22 @@ pub fn serve_trace(
     };
     let mut answers = Fnv::new();
     for r in &served {
-        answers.eat(r.index as u64);
-        answers.eat(r.node as u64);
-        answers.eat(r.class as u64);
+        answers.u64(r.index as u64);
+        answers.u64(r.node as u64);
+        answers.u64(r.class as u64);
     }
     let mut output = Fnv::new();
     for r in &served {
-        output.eat(r.index as u64);
-        output.eat(r.node as u64);
-        output.eat(r.class as u64);
-        output.eat(r.latency.to_bits());
+        output.u64(r.index as u64);
+        output.u64(r.node as u64);
+        output.u64(r.class as u64);
+        output.u64(r.latency.to_bits());
     }
     for &idx in &queue.shed {
-        output.eat(idx as u64);
+        output.u64(idx as u64);
     }
     for &idx in &queue.missed {
-        output.eat(idx as u64);
+        output.u64(idx as u64);
     }
     let report = ServeReport {
         num_admitted: n,
@@ -561,8 +545,8 @@ pub fn serve_trace(
         latency,
         recovery: events,
         effective_max_batch,
-        output_digest: output.0,
-        answer_digest: answers.0,
+        output_digest: output.finish(),
+        answer_digest: answers.finish(),
         shed: queue.shed,
         deadline_missed: queue.missed,
         requests: served,
@@ -578,7 +562,7 @@ pub fn serve_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::{DevicePool, Engine, TrainConfig};
+    use crate::train::{DevicePool, Engine, RecoveryAction, TrainConfig};
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{AggregatorKind, DeviceMemory, FaultPlan, FaultyDevice, GnnShape};
     use buffalo_par::Parallelism;
@@ -890,6 +874,46 @@ mod tests {
     }
 
     #[test]
+    fn standalone_device_loss_exhausts_like_a_one_member_pool() {
+        // Losing the only device ends the ladder at the first loss, with
+        // the trail a one-member pool produces.
+        let (engine, ds) = engine_and_ds();
+        let cost = CostModel::rtx6000();
+        let trace = RequestTrace::poisson(64, 300.0, ds.graph.num_nodes(), 31).unwrap();
+        let budget = DeviceMemory::with_gib(24.0).budget();
+        let plan = FaultPlan::parse("lose:0,2").unwrap();
+        let trail = |device: &dyn Device| match serve_trace(
+            &engine,
+            &ds,
+            device,
+            &cost,
+            &trace,
+            &ServeConfig::default(),
+        ) {
+            Err(TrainError::RecoveryExhausted { events, last }) => {
+                assert!(last.device_lost);
+                events
+            }
+            other => panic!("expected RecoveryExhausted, got {other:?}"),
+        };
+        let standalone = trail(&FaultyDevice::new(DeviceMemory::new(budget), plan.clone()));
+        let pool = DevicePool::homogeneous(1, budget, &plan).unwrap();
+        assert_eq!(standalone, trail(&pool));
+        assert!(
+            matches!(
+                standalone.as_slice(),
+                [RecoveryEvent {
+                    index: 1,
+                    action: RecoveryAction::Exhausted,
+                    ..
+                }]
+            ),
+            "{standalone:?}"
+        );
+        assert_eq!(pool.dead(), vec![0]);
+    }
+
+    #[test]
     fn exhausted_ladder_is_a_structured_error() {
         let (engine, ds) = engine_and_ds();
         let cost = CostModel::rtx6000();
@@ -912,17 +936,17 @@ mod tests {
         )
         .unwrap_err();
         match err {
-            TrainError::ServeRecoveryExhausted { events, .. } => {
+            TrainError::RecoveryExhausted { events, .. } => {
                 assert!(matches!(
                     events.last().map(|e| &e.action),
-                    Some(ServeRecoveryAction::Exhausted)
+                    Some(RecoveryAction::Exhausted)
                 ));
-                let rc = ServeRecoveryCounts::from_events(&events);
+                let rc = RecoveryCounts::from_events(&events);
                 assert!(rc.retries > 0, "retries must have been attempted");
                 assert!(rc.resplits > 0, "re-split must have been attempted");
                 assert!(rc.degrades > 0, "degrade must have fired");
             }
-            other => panic!("expected ServeRecoveryExhausted, got {other:?}"),
+            other => panic!("expected RecoveryExhausted, got {other:?}"),
         }
     }
 

@@ -3,7 +3,8 @@
 //!
 //! A dispatch that hits a device refusal climbs, in order:
 //!
-//! 1. **failover** — a permanent device loss ([`OomError::device_lost`])
+//! 1. **failover** — a permanent device loss
+//!    ([`OomError::device_lost`](buffalo_memsim::OomError::device_lost))
 //!    short-circuits everything else: mark the device dead, re-route onto
 //!    the survivors via [`DevicePool`](crate::train::DevicePool)
 //!    round-robin, reset the retry budget, charge a simulated failover
@@ -25,16 +26,18 @@
 //! exact copies of its requests' sampled closures, and a failover replays
 //! them unchanged on the survivor. Only latencies shift.
 //!
-//! Every rung taken is recorded as a [`ServeRecoveryEvent`]; only when no
-//! rung remains does a structured
-//! [`TrainError::ServeRecoveryExhausted`] carrying the full trail reach
-//! the caller.
+//! Every rung taken is recorded in the training ladder's vocabulary, as a
+//! [`RecoveryEvent`] indexed by dispatch; the failover rung is the
+//! training ladder's own. Only when no rung remains does a structured
+//! [`TrainError::RecoveryExhausted`] carrying the full trail reach the
+//! caller.
 
-use crate::train::Engine;
+use crate::train::recovery::{exhausted, fail_over};
+use crate::train::{Engine, RecoveryAction, RecoveryEvent};
 use crate::TrainError;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
-use buffalo_memsim::{CostModel, Device, OomError};
+use buffalo_memsim::{CostModel, Device};
 use buffalo_sampling::Batch;
 
 /// Limits and knobs for the serving recovery ladder.
@@ -80,139 +83,6 @@ impl Default for ServeRecoveryPolicy {
     }
 }
 
-/// One rung of the serving recovery ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeRecoveryAction {
-    /// The dispatch was retried after a transient fault.
-    Retry {
-        /// 1-based retry attempt number.
-        attempt: usize,
-        /// Simulated backoff charged before this retry, seconds.
-        backoff_seconds: f64,
-    },
-    /// The loop's effective coalescing width was halved so future
-    /// dispatches are smaller.
-    DegradeBatch {
-        /// Width before degrading.
-        from: usize,
-        /// Width after degrading.
-        to: usize,
-    },
-    /// The failing dispatch was cut in half by seed and each half
-    /// retried recursively.
-    Resplit {
-        /// Request nodes in the failing dispatch.
-        nodes: usize,
-        /// Number of halves (always 2).
-        into: usize,
-    },
-    /// A device was permanently lost; the dispatch re-routed onto the
-    /// survivors.
-    DeviceLost {
-        /// Index of the lost device.
-        device: usize,
-        /// Live devices remaining after marking it dead.
-        survivors: usize,
-    },
-    /// No rung remained; the structured error was surfaced.
-    Exhausted,
-}
-
-impl std::fmt::Display for ServeRecoveryAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeRecoveryAction::Retry {
-                attempt,
-                backoff_seconds,
-            } => write!(
-                f,
-                "retry #{attempt} (simulated backoff {backoff_seconds:.6} s)"
-            ),
-            ServeRecoveryAction::DegradeBatch { from, to } => {
-                write!(f, "degrade batch width {from} -> {to}")
-            }
-            ServeRecoveryAction::Resplit { nodes, into } => {
-                write!(f, "re-split {nodes} requests into {into} halves")
-            }
-            ServeRecoveryAction::DeviceLost { device, survivors } => {
-                write!(
-                    f,
-                    "device {device} lost; re-routing onto {survivors} survivor(s)"
-                )
-            }
-            ServeRecoveryAction::Exhausted => write!(f, "serving recovery exhausted"),
-        }
-    }
-}
-
-/// One serving recovery action taken in response to one device refusal,
-/// with the refusal's context attached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeRecoveryEvent {
-    /// Index of the dispatch (coalesced batch) that hit the fault.
-    pub batch: usize,
-    /// The ladder rung taken.
-    pub action: ServeRecoveryAction,
-    /// Bytes the failed allocation requested.
-    pub requested: u64,
-    /// Bytes in use on the device at refusal time.
-    pub in_use: u64,
-    /// Device budget at refusal time.
-    pub budget: u64,
-    /// Whether the refusal was an injected transient fault.
-    pub transient: bool,
-}
-
-impl std::fmt::Display for ServeRecoveryEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "dispatch {}: {} (requested {} B, {} B in use, budget {} B{})",
-            self.batch,
-            self.action,
-            self.requested,
-            self.in_use,
-            self.budget,
-            if self.transient { ", transient" } else { "" }
-        )
-    }
-}
-
-/// Counts of each ladder rung over a serve run, for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeRecoveryCounts {
-    /// Transient-fault retries.
-    pub retries: usize,
-    /// Batch-width degradations.
-    pub degrades: usize,
-    /// Recursive re-splits.
-    pub resplits: usize,
-    /// Device-loss failovers.
-    pub failovers: usize,
-}
-
-impl ServeRecoveryCounts {
-    /// Tallies a recovery trail.
-    pub fn from_events(events: &[ServeRecoveryEvent]) -> Self {
-        let mut c = ServeRecoveryCounts::default();
-        for e in events {
-            match e.action {
-                ServeRecoveryAction::Retry { .. } => c.retries += 1,
-                ServeRecoveryAction::DegradeBatch { .. } => c.degrades += 1,
-                ServeRecoveryAction::Resplit { .. } => c.resplits += 1,
-                ServeRecoveryAction::DeviceLost { .. } => c.failovers += 1,
-                ServeRecoveryAction::Exhausted => {}
-            }
-        }
-        c
-    }
-
-    /// Total rungs taken.
-    pub fn total(&self) -> usize {
-        self.retries + self.degrades + self.resplits + self.failovers
-    }
-}
-
 /// What one recovered dispatch produced: [`Engine::infer`] outputs plus
 /// the simulated seconds recovery itself cost.
 #[derive(Debug, Clone)]
@@ -236,20 +106,7 @@ pub(crate) struct LadderState<'a> {
     /// it (floor 1) so future dispatches shrink.
     pub effective_max_batch: &'a mut usize,
     /// The run-wide recovery trail (appended in rung order).
-    pub events: &'a mut Vec<ServeRecoveryEvent>,
-}
-
-impl LadderState<'_> {
-    fn record(&mut self, batch: usize, action: ServeRecoveryAction, oom: &OomError) {
-        self.events.push(ServeRecoveryEvent {
-            batch,
-            action,
-            requested: oom.requested,
-            in_use: oom.in_use,
-            budget: oom.budget,
-            transient: oom.transient,
-        });
-    }
+    pub events: &'a mut Vec<RecoveryEvent>,
 }
 
 /// Everything about one top-level dispatch that the ladder does not
@@ -266,7 +123,7 @@ pub(crate) struct DispatchCtx<'a> {
     pub batch_idx: usize,
 }
 
-/// Runs [`Engine::infer_with_base`] on `batch`, climbing the serving
+/// Runs [`Engine::infer`] on `batch`, climbing the serving
 /// recovery ladder on OOM. `micro_base` is the run-cumulative
 /// micro-batch count (keeps pool round-robin rotating across
 /// dispatches); `depth` is the current re-split recursion level;
@@ -291,7 +148,7 @@ pub(crate) fn infer_with_recovery(
     let mut attempt = 0usize;
     let mut penalty = 0.0f64;
     let oom = loop {
-        match engine.infer_with_base(ds, batch, device, cost, micro_base) {
+        match engine.infer(ds, batch, device, cost, micro_base) {
             Ok(stats) => {
                 return Ok(RecoveredInference {
                     predictions: stats.predictions,
@@ -309,24 +166,7 @@ pub(crate) fn infer_with_recovery(
                 // mark it dead and replay the dispatch on the survivors
                 // (the pool re-routes via round-robin over live members).
                 if oom.device_lost {
-                    let lost = device.active_device();
-                    device.mark_active_device_dead();
-                    let survivors = device.live_device_count();
-                    if survivors == 0 {
-                        st.record(batch_idx, ServeRecoveryAction::Exhausted, &oom);
-                        return Err(TrainError::ServeRecoveryExhausted {
-                            events: st.events.clone(),
-                            last: oom,
-                        });
-                    }
-                    st.record(
-                        batch_idx,
-                        ServeRecoveryAction::DeviceLost {
-                            device: lost,
-                            survivors,
-                        },
-                        &oom,
-                    );
+                    fail_over(device, batch_idx, oom, st.events)?;
                     device.begin_micro_batch(micro_base);
                     penalty += policy.failover_penalty;
                     // Fresh device, fresh retry budget.
@@ -339,14 +179,11 @@ pub(crate) fn infer_with_recovery(
                 if oom.transient && attempt < policy.max_retries {
                     attempt += 1;
                     let backoff = policy.backoff_base * (1u64 << (attempt - 1).min(16)) as f64;
-                    st.record(
-                        batch_idx,
-                        ServeRecoveryAction::Retry {
-                            attempt,
-                            backoff_seconds: backoff,
-                        },
-                        &oom,
-                    );
+                    let retry = RecoveryAction::Retry {
+                        attempt,
+                        backoff_seconds: backoff,
+                    };
+                    st.events.push(RecoveryEvent::new(batch_idx, retry, &oom));
                     penalty += backoff;
                     continue;
                 }
@@ -363,25 +200,19 @@ pub(crate) fn infer_with_recovery(
         let from = *st.effective_max_batch;
         let to = (from / 2).max(1);
         *st.effective_max_batch = to;
-        st.record(
-            batch_idx,
-            ServeRecoveryAction::DegradeBatch { from, to },
-            &oom,
-        );
+        let degrade = RecoveryAction::DegradeBatch { from, to };
+        st.events.push(RecoveryEvent::new(batch_idx, degrade, &oom));
     }
     // Rung: re-split. Cut the batch in half by seed and retry each half
     // recursively. Isolated sampling makes the halves exact sub-copies,
     // so answers cannot move.
     if depth < policy.max_resplits && batch.num_seeds > 1 {
         let mid = batch.num_seeds.div_ceil(2);
-        st.record(
-            batch_idx,
-            ServeRecoveryAction::Resplit {
-                nodes: batch.num_seeds,
-                into: 2,
-            },
-            &oom,
-        );
+        let resplit = RecoveryAction::Resplit {
+            seeds: batch.num_seeds,
+            into: 2,
+        };
+        st.events.push(RecoveryEvent::new(batch_idx, resplit, &oom));
         let locals: Vec<NodeId> = (0..batch.num_seeds as NodeId).collect();
         let mut merged = RecoveredInference {
             predictions: Vec::with_capacity(batch.num_seeds),
@@ -408,11 +239,7 @@ pub(crate) fn infer_with_recovery(
         }
         return Ok(merged);
     }
-    st.record(batch_idx, ServeRecoveryAction::Exhausted, &oom);
-    Err(TrainError::ServeRecoveryExhausted {
-        events: st.events.clone(),
-        last: oom,
-    })
+    Err(exhausted(batch_idx, oom, st.events))
 }
 
 #[cfg(test)]
@@ -426,75 +253,5 @@ mod tests {
         assert_eq!(p.max_retries, 3);
         assert_eq!(p.max_resplits, 2);
         assert!(!ServeRecoveryPolicy::disabled().enabled);
-    }
-
-    #[test]
-    fn events_display_their_context() {
-        let ev = ServeRecoveryEvent {
-            batch: 4,
-            action: ServeRecoveryAction::Retry {
-                attempt: 2,
-                backoff_seconds: 0.002,
-            },
-            requested: 100,
-            in_use: 40,
-            budget: 120,
-            transient: true,
-        };
-        let s = ev.to_string();
-        assert!(s.contains("dispatch 4"));
-        assert!(s.contains("retry #2"));
-        assert!(s.contains("transient"));
-        let s = ServeRecoveryEvent {
-            action: ServeRecoveryAction::Resplit { nodes: 32, into: 2 },
-            transient: false,
-            ..ev.clone()
-        }
-        .to_string();
-        assert!(s.contains("re-split 32 requests into 2 halves"));
-        assert!(!s.contains("transient"));
-        let s = ServeRecoveryAction::DeviceLost {
-            device: 1,
-            survivors: 3,
-        }
-        .to_string();
-        assert!(s.contains("device 1 lost"), "{s}");
-        let s = ServeRecoveryAction::DegradeBatch { from: 64, to: 32 }.to_string();
-        assert!(s.contains("64 -> 32"), "{s}");
-    }
-
-    #[test]
-    fn counts_tally_each_rung() {
-        let mk = |action| ServeRecoveryEvent {
-            batch: 0,
-            action,
-            requested: 0,
-            in_use: 0,
-            budget: 0,
-            transient: false,
-        };
-        let events = vec![
-            mk(ServeRecoveryAction::Retry {
-                attempt: 1,
-                backoff_seconds: 0.0,
-            }),
-            mk(ServeRecoveryAction::Retry {
-                attempt: 2,
-                backoff_seconds: 0.0,
-            }),
-            mk(ServeRecoveryAction::DegradeBatch { from: 8, to: 4 }),
-            mk(ServeRecoveryAction::Resplit { nodes: 8, into: 2 }),
-            mk(ServeRecoveryAction::DeviceLost {
-                device: 0,
-                survivors: 1,
-            }),
-            mk(ServeRecoveryAction::Exhausted),
-        ];
-        let c = ServeRecoveryCounts::from_events(&events);
-        assert_eq!(c.retries, 2);
-        assert_eq!(c.degrades, 1);
-        assert_eq!(c.resplits, 1);
-        assert_eq!(c.failovers, 1);
-        assert_eq!(c.total(), 5, "Exhausted is not a rung");
     }
 }

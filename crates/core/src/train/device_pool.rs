@@ -226,22 +226,6 @@ impl Device for DevicePool {
         }
     }
 
-    fn alloc_calls(&self) -> u64 {
-        self.devices.iter().map(Device::alloc_calls).sum()
-    }
-
-    fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
-    fn live_device_count(&self) -> usize {
-        self.devices.len() - self.lock().dead.len()
-    }
-
-    fn active_device(&self) -> usize {
-        self.lock().active
-    }
-
     fn begin_micro_batch(&self, index: usize) {
         let mut st = self.lock();
         let live: Vec<usize> = (0..self.devices.len())
@@ -252,9 +236,11 @@ impl Device for DevicePool {
         }
     }
 
-    fn mark_active_device_dead(&self) {
+    fn mark_active_lost(&self) -> (usize, usize) {
         let active = self.lock().active;
         self.mark_dead(active);
+        let survivors = self.devices.len().saturating_sub(self.lock().dead.len());
+        (active, survivors)
     }
 
     fn schedule_budget(&self) -> u64 {
@@ -271,7 +257,7 @@ impl Device for DevicePool {
     }
 
     fn per_device_alloc_calls(&self) -> Vec<u64> {
-        self.devices.iter().map(Device::alloc_calls).collect()
+        self.devices.iter().map(|d| d.counters().allocs).collect()
     }
 
     fn fast_forward_device(&self, index: usize, allocs: u64) {
@@ -308,28 +294,32 @@ mod tests {
         assert!(matches!(err, TrainError::InvalidConfig(_)));
     }
 
+    /// The member `begin_micro_batch(i)` routes to: the one whose alloc
+    /// counter the next allocation bumps.
+    fn route(p: &DevicePool, i: usize) -> usize {
+        let before = p.per_device_alloc_calls();
+        p.begin_micro_batch(i);
+        let id = Device::alloc(p, 10).unwrap();
+        Device::free(p, id);
+        let after = p.per_device_alloc_calls();
+        (0..p.len())
+            .find(|&m| after.get(m) != before.get(m))
+            .unwrap()
+    }
+
     #[test]
     fn round_robin_routes_over_live_members() {
         let p = pool(3, 100, "");
         for i in 0..6 {
-            p.begin_micro_batch(i);
-            assert_eq!(p.active_device(), i % 3);
-            let id = Device::alloc(&p, 10).unwrap();
-            Device::free(&p, id);
+            assert_eq!(route(&p, i), i % 3);
         }
         assert_eq!(p.per_device_alloc_calls(), vec![2, 2, 2]);
         // Kill member 1: the rotation skips it from now on.
         p.begin_micro_batch(1);
-        p.mark_active_device_dead();
+        assert_eq!(p.mark_active_lost(), (1, 2));
         assert_eq!(p.dead(), vec![1]);
-        assert_eq!(p.live_device_count(), 2);
-        let route: Vec<usize> = (0..4)
-            .map(|i| {
-                p.begin_micro_batch(i);
-                p.active_device()
-            })
-            .collect();
-        assert_eq!(route, vec![0, 2, 0, 2]);
+        let routes: Vec<usize> = (0..4).map(|i| route(&p, i)).collect();
+        assert_eq!(routes, vec![0, 2, 0, 2]);
     }
 
     #[test]
@@ -361,7 +351,7 @@ mod tests {
         assert_eq!(Device::budget(&p), 100);
         // Once member 0 dies, the tightest live budget is member 1's.
         p.begin_micro_batch(0);
-        p.mark_active_device_dead();
+        assert_eq!(p.mark_active_lost(), (0, 1));
         assert_eq!(p.schedule_budget(), 100);
     }
 
@@ -370,7 +360,7 @@ mod tests {
         let p = pool(2, 100, "");
         p.begin_micro_batch(1);
         let held = Device::alloc(&p, 50).unwrap();
-        p.mark_active_device_dead();
+        assert_eq!(p.mark_active_lost(), (1, 1));
         // Its memory is gone and in_use no longer counts it.
         assert_eq!(p.device(1).unwrap().in_use(), 0);
         assert_eq!(p.in_use(), 0);
@@ -397,15 +387,14 @@ mod tests {
     fn dead_set_round_trips_through_snapshot_form() {
         let p = pool(4, 100, "");
         p.begin_micro_batch(1);
-        p.mark_active_device_dead();
+        assert_eq!(p.mark_active_lost(), (1, 3));
         p.begin_micro_batch(2); // live rotation: 0,2,3 → index 2 → member 3
-        p.mark_active_device_dead();
+        assert_eq!(p.mark_active_lost(), (3, 2));
         let dead = Device::dead_devices(&p);
         assert_eq!(dead, vec![1, 3]);
         let fresh = pool(4, 100, "");
         fresh.restore_dead_devices(&dead);
         assert_eq!(fresh.dead(), vec![1, 3]);
-        assert_eq!(fresh.live_device_count(), 2);
         // Out-of-range indices are ignored, not a panic.
         fresh.restore_dead_devices(&[99]);
         assert_eq!(fresh.dead(), vec![1, 3]);
@@ -435,7 +424,7 @@ mod tests {
                     prop_assert!(id.is_ok(), "alloc {i} failed: {:?}", id.err());
                     Device::free(&p, id.unwrap());
                 }
-                prop_assert_eq!(p.live_device_count(), n);
+                prop_assert_eq!(p.dead(), Vec::<usize>::new());
                 for i in 0..n {
                     prop_assert!(!p.device(i).unwrap().is_lost());
                 }

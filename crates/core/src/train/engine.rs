@@ -302,32 +302,20 @@ impl Engine {
     /// admission-control decisions are consistent between training and
     /// serving.
     ///
+    /// `micro_base` numbers the pass's micro-batches for
+    /// [`Device::begin_micro_batch`]: the serving loop passes its
+    /// run-cumulative micro-batch count so successive dispatches keep
+    /// rotating across [`DevicePool`] members instead of re-starting at
+    /// member 0 every call. A single pass passes 0.
+    ///
+    /// [`DevicePool`]: crate::train::DevicePool
+    ///
     /// # Errors
     ///
     /// * [`TrainError::Schedule`] if no feasible grouping exists
     ///   (scheduled mode only).
     /// * [`TrainError::Oom`] if a micro-batch exceeds the budget.
     pub fn infer(
-        &self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<InferenceStats, TrainError> {
-        self.infer_with_base(ds, batch, device, cost, 0)
-    }
-
-    /// [`Self::infer`] with an explicit micro-batch numbering base. The
-    /// serving loop passes its run-cumulative micro-batch count so
-    /// successive dispatches keep rotating across [`DevicePool`] members
-    /// instead of re-starting at member 0 every call.
-    ///
-    /// [`DevicePool`]: crate::train::DevicePool
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::infer`].
-    pub fn infer_with_base(
         &self,
         ds: &Dataset,
         batch: &Batch,
@@ -537,8 +525,8 @@ mod tests {
             engine.train_iteration(&ds, &batch, &device, &cost).unwrap();
         }
         let before = param_fingerprint(&engine.capture_state());
-        let a = engine.infer(&ds, &batch, &device, &cost).unwrap();
-        let b = engine.infer(&ds, &batch, &device, &cost).unwrap();
+        let a = engine.infer(&ds, &batch, &device, &cost, 0).unwrap();
+        let b = engine.infer(&ds, &batch, &device, &cost, 0).unwrap();
         let after = param_fingerprint(&engine.capture_state());
         assert_eq!(before, after, "inference touched parameter state");
         assert_eq!(a.predictions, b.predictions);
@@ -567,7 +555,7 @@ mod tests {
         let budget = measure::training_memory(&blocks, &config.shape).total() * 3 / 4;
         let device = DeviceMemory::new(budget);
         let engine = Engine::buffalo(config, 0.24);
-        let stats = engine.infer(&ds, &batch, &device, &cost).unwrap();
+        let stats = engine.infer(&ds, &batch, &device, &cost, 0).unwrap();
         assert!(stats.num_micro_batches > 1, "budget did not force split");
         assert!(stats.peak_mem_bytes <= budget);
         assert_eq!(stats.predictions.len(), batch.num_seeds);

@@ -28,7 +28,9 @@ pub use device_pool::DevicePool;
 pub use engine::{Engine, InferenceStats};
 pub use epoch::{run_epochs, run_epochs_checkpointed, EpochConfig, EpochStats, TrainRun};
 pub use pipeline::PipelineConfig;
-pub use recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
+pub use recovery::{
+    HeadroomCalibrator, RecoveryAction, RecoveryCounts, RecoveryEvent, RecoveryPolicy,
+};
 
 use buffalo_memsim::{GnnShape, StageTimings};
 use buffalo_par::Parallelism;
@@ -639,6 +641,44 @@ mod tests {
             other => panic!("expected RecoveryExhausted, got {other:?}"),
         }
         assert_eq!(pool.dead(), vec![0, 1]);
+    }
+
+    #[test]
+    fn standalone_device_loss_exhausts_like_a_one_member_pool() {
+        // A plain device has nothing to fail over to: losing it ends the
+        // ladder at once with the trail a one-member pool produces,
+        // instead of failing over onto itself forever.
+        use buffalo_memsim::{Device, FaultPlan, FaultyDevice};
+        let (ds, batch, config) = small_setup();
+        let cost = CostModel::rtx6000();
+        let budget = splitting_budget(&batch, &config.shape);
+        let plan = FaultPlan::parse("lose:0,2").unwrap();
+        let trail = |device: &dyn Device| {
+            let mut engine =
+                Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
+            match engine.train_iteration(&ds, &batch, device, &cost) {
+                Err(TrainError::RecoveryExhausted { events, last }) => {
+                    assert!(last.device_lost);
+                    events
+                }
+                other => panic!("expected RecoveryExhausted, got {other:?}"),
+            }
+        };
+        let standalone = trail(&FaultyDevice::new(DeviceMemory::new(budget), plan.clone()));
+        let pool = DevicePool::homogeneous(1, budget, &plan).unwrap();
+        assert_eq!(standalone, trail(&pool));
+        assert!(
+            matches!(
+                standalone.as_slice(),
+                [RecoveryEvent {
+                    index: 1,
+                    action: RecoveryAction::Exhausted,
+                    ..
+                }]
+            ),
+            "{standalone:?}"
+        );
+        assert_eq!(pool.dead(), vec![0]);
     }
 
     #[test]

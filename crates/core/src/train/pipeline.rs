@@ -44,7 +44,9 @@
 //! of which device an allocation landed on.
 
 use crate::models::GnnModel;
-use crate::train::recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
+use crate::train::recovery::{
+    exhausted, fail_over, HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy,
+};
 use crate::TrainError;
 use buffalo_blocks::{GenerateOptions, PreparedBlocks};
 use buffalo_bucketing::{BuffaloScheduler, SchedulePlan};
@@ -340,19 +342,6 @@ struct ExecState<'d, 'c> {
     calibrator: Option<&'c mut HeadroomCalibrator>,
 }
 
-impl ExecState<'_, '_> {
-    fn record_event(&mut self, action: RecoveryAction, oom: &buffalo_memsim::OomError) {
-        self.events.push(RecoveryEvent {
-            micro_batch: self.micro_batches,
-            action,
-            requested: oom.requested,
-            in_use: oom.in_use,
-            budget: oom.budget,
-            transient: oom.transient,
-        });
-    }
-}
-
 /// One prepared micro-batch queued for execution.
 struct MicroWork<'s> {
     /// Seconds spent restricting the batch to this micro-batch's seeds.
@@ -409,17 +398,7 @@ fn consume_one(
                 // allocation. The loss says nothing about the estimator,
                 // so the calibrator is *not* fed.
                 if oom.device_lost {
-                    let device = st.residency.device.active_device();
-                    st.residency.device.mark_active_device_dead();
-                    let survivors = st.residency.device.live_device_count();
-                    if survivors == 0 {
-                        st.record_event(RecoveryAction::Exhausted, &oom);
-                        return Err(TrainError::RecoveryExhausted {
-                            events: st.events.clone(),
-                            last: oom,
-                        });
-                    }
-                    st.record_event(RecoveryAction::DeviceLost { device, survivors }, &oom);
+                    fail_over(st.residency.device, st.micro_batches, oom, &mut st.events)?;
                     st.residency.device.begin_micro_batch(assign_idx);
                     // Fresh device, fresh retry budget.
                     attempt = 0;
@@ -438,7 +417,9 @@ fn consume_one(
                 }
                 // Rung 1: stop holding two micro-batches resident.
                 if st.residency.degrade_to_serial() {
-                    st.record_event(RecoveryAction::DegradeSerial, &oom);
+                    let ev =
+                        RecoveryEvent::new(st.micro_batches, RecoveryAction::DegradeSerial, &oom);
+                    st.events.push(ev);
                     continue;
                 }
                 // Rung 2: bounded pure retries. Allocation precedes all
@@ -451,7 +432,12 @@ fn consume_one(
                     } else {
                         std::time::Duration::ZERO
                     };
-                    st.record_event(RecoveryAction::Retry { attempt, backoff }, &oom);
+                    let retry = RecoveryAction::Retry {
+                        attempt,
+                        backoff_seconds: backoff.as_secs_f64(),
+                    };
+                    st.events
+                        .push(RecoveryEvent::new(st.micro_batches, retry, &oom));
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
@@ -472,13 +458,12 @@ fn consume_one(
                         None => st.residency.device.budget(),
                     };
                     if let Ok(plan) = scheduler.resplit_group(&ctx.batch.graph, seeds, constraint) {
-                        st.record_event(
-                            RecoveryAction::Resplit {
-                                seeds: seeds.len(),
-                                into: plan.groups.len(),
-                            },
-                            &oom,
-                        );
+                        let resplit = RecoveryAction::Resplit {
+                            seeds: seeds.len(),
+                            into: plan.groups.len(),
+                        };
+                        st.events
+                            .push(RecoveryEvent::new(st.micro_batches, resplit, &oom));
                         // The discarded preparation still happened:
                         // account for it as prepare-only pipeline time.
                         st.timeline.record(block_gen + gather, 0.0);
@@ -511,11 +496,7 @@ fn consume_one(
                 }
             }
         }
-        st.record_event(RecoveryAction::Exhausted, &oom);
-        return Err(TrainError::RecoveryExhausted {
-            events: st.events.clone(),
-            last: oom,
-        });
+        return Err(exhausted(st.micro_batches, oom, &mut st.events));
     }
     // Allocation landed: forward, loss, backward.
     let features = Tensor::from_vec(features.len() / feat_dim, feat_dim, features);

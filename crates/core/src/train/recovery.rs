@@ -1,16 +1,20 @@
-//! OOM recovery policy, event trail, and estimator headroom calibration.
+//! The recovery vocabulary both ladders share, the training policy, and
+//! estimator headroom calibration.
 //!
-//! The scheduler's Algorithm 3 guards against OOM at *plan* time; this
-//! module guards *execution* time, where an estimator under-prediction, an
-//! injected fault, or a mid-epoch budget shrink can still make the device
-//! refuse an allocation. On such a failure the pipeline climbs a recovery
-//! ladder (degrade double-buffering → bounded retries → re-split the
-//! micro-batch → fail over a lost device to the survivors) and records
-//! every rung as a [`RecoveryEvent`]; only when
-//! the ladder is exhausted does a structured
+//! The scheduler's Algorithm 3 guards against OOM at *plan* time; the
+//! recovery ladders guard *execution* time, where an estimator
+//! under-prediction, an injected fault, or a mid-epoch budget shrink can
+//! still make the device refuse an allocation. Training climbs its ladder
+//! in the pipeline's Execute stage (degrade double-buffering → bounded
+//! retries → re-split the micro-batch → fail over a lost device to the
+//! survivors); serving climbs its own in [`crate::serve`]. Both record
+//! every rung as a [`RecoveryEvent`], share one failover rung, and end in
+//! the same structured
 //! [`TrainError::RecoveryExhausted`](crate::TrainError::RecoveryExhausted)
-//! carrying the full trail reach the caller.
+//! carrying the full trail.
 
+use crate::TrainError;
+use buffalo_memsim::{Device, OomError};
 use std::time::Duration;
 
 /// Limits and knobs for execution-time OOM recovery.
@@ -59,20 +63,30 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// One rung of the recovery ladder.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One rung of a recovery ladder.
+#[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryAction {
     /// Double-buffered residency was dropped to serial so only one
-    /// micro-batch stays resident.
+    /// micro-batch stays resident (training).
     DegradeSerial,
+    /// The serving loop's coalescing width was halved so future
+    /// dispatches are smaller (serving).
+    DegradeBatch {
+        /// Width before degrading.
+        from: usize,
+        /// Width after degrading.
+        to: usize,
+    },
     /// The same allocation was retried.
     Retry {
         /// 1-based retry attempt number.
         attempt: usize,
-        /// Backoff slept before this retry.
-        backoff: Duration,
+        /// Backoff charged before this retry, seconds: slept when
+        /// training, added to the simulated latency when serving.
+        backoff_seconds: f64,
     },
-    /// The failing micro-batch was re-scheduled into smaller groups.
+    /// The failing micro-batch (or dispatch) was cut into smaller groups
+    /// by seed.
     Resplit {
         /// Seeds in the offending group.
         seeds: usize,
@@ -80,9 +94,8 @@ pub enum RecoveryAction {
         into: usize,
     },
     /// A whole device was permanently lost: it is marked dead, its
-    /// in-flight micro-batch replays on a survivor, and its unfinished
-    /// bucket groups re-shard across the surviving devices (re-splitting
-    /// under the survivors' budgets when they no longer fit).
+    /// in-flight work replays on a survivor, and its unfinished bucket
+    /// groups re-shard across the surviving devices.
     DeviceLost {
         /// Index of the lost device.
         device: usize,
@@ -97,9 +110,13 @@ impl std::fmt::Display for RecoveryAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoveryAction::DegradeSerial => write!(f, "degrade double-buffer to serial"),
-            RecoveryAction::Retry { attempt, backoff } => {
-                write!(f, "retry #{attempt} (backoff {backoff:?})")
+            RecoveryAction::DegradeBatch { from, to } => {
+                write!(f, "degrade batch width {from} -> {to}")
             }
+            RecoveryAction::Retry {
+                attempt,
+                backoff_seconds,
+            } => write!(f, "retry #{attempt} (backoff {backoff_seconds:.6} s)"),
             RecoveryAction::Resplit { seeds, into } => {
                 write!(f, "re-split {seeds} seeds into {into} groups")
             }
@@ -118,8 +135,9 @@ impl std::fmt::Display for RecoveryAction {
 /// refusal's context attached.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEvent {
-    /// Index of the micro-batch (in execution order) that hit the fault.
-    pub micro_batch: usize,
+    /// What hit the fault: the micro-batch (in execution order) when
+    /// training, the dispatch (coalesced batch) when serving.
+    pub index: usize,
     /// The ladder rung taken.
     pub action: RecoveryAction,
     /// Bytes the failed allocation requested.
@@ -133,12 +151,26 @@ pub struct RecoveryEvent {
     pub transient: bool,
 }
 
+impl RecoveryEvent {
+    /// The event for taking `action` at `index` in response to `oom`.
+    pub fn new(index: usize, action: RecoveryAction, oom: &OomError) -> Self {
+        RecoveryEvent {
+            index,
+            action,
+            requested: oom.requested,
+            in_use: oom.in_use,
+            budget: oom.budget,
+            transient: oom.transient,
+        }
+    }
+}
+
 impl std::fmt::Display for RecoveryEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "micro-batch {}: {} (requested {} B, {} B in use, budget {} B{})",
-            self.micro_batch,
+            "#{}: {} (requested {} B, {} B in use, budget {} B{})",
+            self.index,
             self.action,
             self.requested,
             self.in_use,
@@ -146,6 +178,85 @@ impl std::fmt::Display for RecoveryEvent {
             if self.transient { ", transient" } else { "" }
         )
     }
+}
+
+/// Counts of each ladder rung over a recovery trail, for reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RecoveryCounts {
+    /// Retries.
+    pub retries: usize,
+    /// Degradations, of residency or of batch width.
+    pub degrades: usize,
+    /// Re-splits.
+    pub resplits: usize,
+    /// Device-loss failovers.
+    pub failovers: usize,
+}
+
+impl RecoveryCounts {
+    /// Tallies a recovery trail.
+    pub fn from_events(events: &[RecoveryEvent]) -> Self {
+        let mut c = RecoveryCounts::default();
+        for e in events {
+            match e.action {
+                RecoveryAction::Retry { .. } => c.retries += 1,
+                RecoveryAction::DegradeSerial | RecoveryAction::DegradeBatch { .. } => {
+                    c.degrades += 1
+                }
+                RecoveryAction::Resplit { .. } => c.resplits += 1,
+                RecoveryAction::DeviceLost { .. } => c.failovers += 1,
+                RecoveryAction::Exhausted => {}
+            }
+        }
+        c
+    }
+
+    /// Total rungs taken.
+    pub fn total(&self) -> usize {
+        self.retries + self.degrades + self.resplits + self.failovers
+    }
+}
+
+/// Ends a ladder: records [`RecoveryAction::Exhausted`] at `index` and
+/// returns the error carrying the whole trail.
+pub(crate) fn exhausted(
+    index: usize,
+    oom: OomError,
+    events: &mut Vec<RecoveryEvent>,
+) -> TrainError {
+    events.push(RecoveryEvent::new(index, RecoveryAction::Exhausted, &oom));
+    TrainError::RecoveryExhausted {
+        events: events.clone(),
+        last: oom,
+    }
+}
+
+/// The failover rung both ladders climb on a `device_lost` refusal: marks
+/// the active device lost and records [`RecoveryAction::DeviceLost`].
+/// When no device survives — always the case for a plain device, which
+/// has nothing to fail over to — the ladder is [`exhausted`] instead.
+///
+/// On `Ok` the caller re-routes with [`Device::begin_micro_batch`] and
+/// replays with a fresh retry budget.
+pub(crate) fn fail_over(
+    device: &dyn Device,
+    index: usize,
+    oom: OomError,
+    events: &mut Vec<RecoveryEvent>,
+) -> Result<(), TrainError> {
+    let (lost, survivors) = device.mark_active_lost();
+    if survivors == 0 {
+        return Err(exhausted(index, oom, events));
+    }
+    events.push(RecoveryEvent::new(
+        index,
+        RecoveryAction::DeviceLost {
+            device: lost,
+            survivors,
+        },
+        &oom,
+    ));
+    Ok(())
 }
 
 /// Online calibration of the memory estimator's safety margin.
@@ -365,10 +476,10 @@ mod tests {
     #[test]
     fn events_display_their_context() {
         let ev = RecoveryEvent {
-            micro_batch: 3,
+            index: 3,
             action: RecoveryAction::Retry {
                 attempt: 2,
-                backoff: Duration::ZERO,
+                backoff_seconds: 0.002,
             },
             requested: 100,
             in_use: 40,
@@ -376,8 +487,8 @@ mod tests {
             transient: true,
         };
         let s = ev.to_string();
-        assert!(s.contains("micro-batch 3"));
-        assert!(s.contains("retry #2"));
+        assert!(s.contains("#3"), "{s}");
+        assert!(s.contains("retry #2 (backoff 0.002000 s)"), "{s}");
         assert!(s.contains("transient"));
         let s = RecoveryEvent {
             action: RecoveryAction::Resplit { seeds: 64, into: 2 },
@@ -394,5 +505,39 @@ mod tests {
         .to_string();
         assert!(s.contains("device 1 lost"), "{s}");
         assert!(s.contains("3 survivor"), "{s}");
+        let s = RecoveryAction::DegradeBatch { from: 64, to: 32 }.to_string();
+        assert!(s.contains("64 -> 32"), "{s}");
+    }
+
+    #[test]
+    fn counts_tally_each_rung() {
+        let oom = OomError::new(0, 0, 0);
+        let events: Vec<RecoveryEvent> = [
+            RecoveryAction::Retry {
+                attempt: 1,
+                backoff_seconds: 0.0,
+            },
+            RecoveryAction::Retry {
+                attempt: 2,
+                backoff_seconds: 0.0,
+            },
+            RecoveryAction::DegradeBatch { from: 8, to: 4 },
+            RecoveryAction::DegradeSerial,
+            RecoveryAction::Resplit { seeds: 8, into: 2 },
+            RecoveryAction::DeviceLost {
+                device: 0,
+                survivors: 1,
+            },
+            RecoveryAction::Exhausted,
+        ]
+        .into_iter()
+        .map(|action| RecoveryEvent::new(0, action, &oom))
+        .collect();
+        let c = RecoveryCounts::from_events(&events);
+        assert_eq!(c.retries, 2);
+        assert_eq!(c.degrades, 2);
+        assert_eq!(c.resplits, 1);
+        assert_eq!(c.failovers, 1);
+        assert_eq!(c.total(), 6, "Exhausted is not a rung");
     }
 }

@@ -108,19 +108,6 @@ pub trait Device: Sync {
     fn reset_peak(&self);
     /// Frees everything.
     fn free_all(&self);
-    /// Total `alloc` calls observed, for devices that track a
-    /// deterministic fault stream keyed off the allocation counter.
-    /// Plain devices report 0 — their behaviour never depends on it.
-    fn alloc_calls(&self) -> u64 {
-        0
-    }
-    /// Resets fault streams to the state after exactly `allocs` calls
-    /// (see [`FaultyDevice::fast_forward`](crate::FaultyDevice::fast_forward)).
-    /// A no-op on devices without fault state: replaying a plain device
-    /// from any position is already deterministic.
-    fn fast_forward_allocs(&self, allocs: u64) {
-        let _ = allocs;
-    }
 
     // --- Multi-device pool surface -------------------------------------
     //
@@ -128,22 +115,7 @@ pub trait Device: Sync {
     // multi-device runner). The methods below let the executor shard
     // micro-batches across pool members and survive losing one, while
     // every plain single-device implementation keeps the trivial
-    // defaults: one device, index 0, never dead.
-
-    /// Number of devices behind this handle (1 for plain devices).
-    fn device_count(&self) -> usize {
-        1
-    }
-
-    /// Number of devices still alive (not marked lost).
-    fn live_device_count(&self) -> usize {
-        1
-    }
-
-    /// The device that will receive the next allocation.
-    fn active_device(&self) -> usize {
-        0
-    }
+    // defaults: one device, index 0, nothing to fail over to.
 
     /// Routes the upcoming micro-batch's allocations: a pool picks the
     /// live device for `index` (round-robin over survivors); plain
@@ -152,10 +124,13 @@ pub trait Device: Sync {
         let _ = index;
     }
 
-    /// Marks the active device as permanently lost, so it is skipped by
-    /// every subsequent [`begin_micro_batch`](Device::begin_micro_batch).
-    /// A no-op on plain devices (there is nothing to fail over to).
-    fn mark_active_device_dead(&self) {}
+    /// Marks the active device permanently lost, so every subsequent
+    /// [`begin_micro_batch`](Device::begin_micro_batch) skips it, and
+    /// returns `(lost index, live survivors)`. A plain device has nothing
+    /// to fail over to: it reports `(0, 0)`.
+    fn mark_active_lost(&self) -> (usize, usize) {
+        (0, 0)
+    }
 
     /// The budget the *scheduler* should plan against: the tightest
     /// per-device budget across live pool members (a bucket group must
@@ -165,19 +140,20 @@ pub trait Device: Sync {
         self.budget()
     }
 
-    /// Per-device allocation counters, indexed by device, for snapshots
-    /// that must fast-forward every fault stream on resume.
+    /// Per-device `alloc` call counts, indexed by device, for snapshots
+    /// that must fast-forward every deterministic fault stream on resume.
+    /// Plain devices report `[0]` — their behaviour never depends on it.
     fn per_device_alloc_calls(&self) -> Vec<u64> {
-        vec![self.alloc_calls()]
+        vec![0]
     }
 
     /// Resets device `index`'s fault streams to the state after exactly
-    /// `allocs` calls (the per-device form of
-    /// [`fast_forward_allocs`](Device::fast_forward_allocs)).
+    /// `allocs` calls (see
+    /// [`FaultyDevice::fast_forward`](crate::FaultyDevice::fast_forward)).
+    /// A no-op on devices without fault state: replaying a plain device
+    /// from any position is already deterministic.
     fn fast_forward_device(&self, index: usize, allocs: u64) {
-        if index == 0 {
-            self.fast_forward_allocs(allocs);
-        }
+        let _ = (index, allocs);
     }
 
     /// Indices of devices marked dead, ascending (snapshot round-trip).

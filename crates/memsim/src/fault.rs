@@ -499,11 +499,13 @@ impl Device for FaultyDevice {
     fn free_all(&self) {
         self.inner.free_all();
     }
-    fn alloc_calls(&self) -> u64 {
-        self.lock().counters.allocs
+    fn per_device_alloc_calls(&self) -> Vec<u64> {
+        vec![self.lock().counters.allocs]
     }
-    fn fast_forward_allocs(&self, allocs: u64) {
-        self.fast_forward(allocs);
+    fn fast_forward_device(&self, index: usize, allocs: u64) {
+        if index == 0 {
+            self.fast_forward(allocs);
+        }
     }
 }
 
@@ -658,7 +660,7 @@ mod tests {
         // identically, with identical counters at every point.
         let ff = FaultyDevice::new(DeviceMemory::new(100), FaultPlan::parse(spec).unwrap());
         ff.fast_forward(8);
-        assert_eq!(Device::alloc_calls(&ff), 8);
+        assert_eq!(ff.per_device_alloc_calls(), vec![8]);
         let tail = drain(&ff, 12, 10);
         assert_eq!(tail, full[8..], "fast-forwarded stream must match live");
         assert_eq!(ff.counters(), live.counters());

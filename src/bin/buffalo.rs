@@ -16,7 +16,7 @@
 use buffalo::bucketing::BuffaloScheduler;
 use buffalo::core::checkpoint::CheckpointOptions;
 use buffalo::core::serve::{
-    serve_trace, RequestTrace, ServeConfig, ServeRecoveryAction, ServeRecoveryPolicy, ShedPolicy,
+    serve_trace, RequestTrace, ServeConfig, ServeRecoveryPolicy, ShedPolicy,
 };
 use buffalo::core::sim::{simulate_iteration, SimContext, Strategy};
 use buffalo::core::train::{
@@ -301,6 +301,82 @@ fn cmd_schedule(target: &str, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// The device a `train` or `serve` run allocates on: a plain device, a
+/// `FaultyDevice` replaying `--faults`, or — with `--gpus N` — an elastic
+/// pool of N members with `--budget` bytes each, replaying the plan by
+/// member index. Without `--gpus` the single-device path (and its golden
+/// outputs) is untouched.
+enum RunDevice {
+    Plain(DeviceMemory),
+    Faulty(FaultyDevice),
+    Pool(DevicePool),
+}
+
+impl RunDevice {
+    fn new(opts: &Options, budget: u64, plan: Option<FaultPlan>) -> Result<RunDevice, String> {
+        let gpus = match opts.flags.get("gpus") {
+            Some(v) => Some(
+                v.parse::<usize>()
+                    .map_err(|_| format!("bad --gpus `{v}`"))?,
+            ),
+            None => None,
+        };
+        Ok(match (gpus, plan) {
+            (Some(n), plan) => {
+                let plan = plan.unwrap_or_else(FaultPlan::none);
+                RunDevice::Pool(
+                    DevicePool::homogeneous(n, budget, &plan).map_err(|e| e.to_string())?,
+                )
+            }
+            (None, Some(plan)) => {
+                RunDevice::Faulty(FaultyDevice::new(DeviceMemory::new(budget), plan))
+            }
+            (None, None) => RunDevice::Plain(DeviceMemory::new(budget)),
+        })
+    }
+
+    fn device(&self) -> &dyn Device {
+        match self {
+            RunDevice::Plain(d) => d,
+            RunDevice::Faulty(f) => f,
+            RunDevice::Pool(p) => p,
+        }
+    }
+
+    /// Prints a faulty device's fault counters, or a pool's per-member
+    /// summary with a `LOST` marker on dead members.
+    fn print_summary(&self) {
+        match self {
+            RunDevice::Plain(_) => {}
+            RunDevice::Faulty(f) => {
+                let c = f.counters();
+                println!(
+                    "faults: {} injected over {} allocs, {} budget changes",
+                    c.injected, c.allocs, c.budget_changes
+                );
+            }
+            RunDevice::Pool(p) => {
+                println!(
+                    "devices: {} in pool, {} live",
+                    p.len(),
+                    p.len() - p.dead().len()
+                );
+                for i in 0..p.len() {
+                    if let Some(d) = p.device(i) {
+                        let c = d.counters();
+                        println!(
+                            "  device {i}: {} allocs, {} injected{}",
+                            c.allocs,
+                            c.injected,
+                            if p.is_dead(i) { ", LOST" } else { "" }
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
     let mut o = Options {
         positional: opts.positional.clone(),
@@ -381,36 +457,8 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
     let recovery_on = fault_plan.is_some()
         || o.flags.contains_key("max-retries")
         || o.flags.contains_key("headroom");
-    // `--gpus N` swaps the single device for an elastic pool of N members
-    // with `--budget` bytes each. The flag's absence keeps the exact
-    // single-device code path (and its golden outputs) untouched.
-    let gpus = match o.flags.get("gpus") {
-        Some(v) => {
-            let n: usize = v.parse().map_err(|_| format!("bad --gpus `{v}`"))?;
-            Some(n)
-        }
-        None => None,
-    };
-    let pool = match gpus {
-        Some(n) => {
-            let plan = fault_plan.take().unwrap_or_else(FaultPlan::none);
-            Some(DevicePool::homogeneous(n, s.budget, &plan).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
-    let faulty = fault_plan.map(|plan| FaultyDevice::new(DeviceMemory::new(s.budget), plan));
-    let plain;
-    let device: &dyn Device = if let Some(p) = &pool {
-        p
-    } else {
-        match &faulty {
-            Some(f) => f,
-            None => {
-                plain = DeviceMemory::new(s.budget);
-                &plain
-            }
-        }
-    };
+    let run_device = RunDevice::new(&o, s.budget, fault_plan)?;
+    let device = run_device.device();
     let cost = CostModel::rtx6000();
     // The CLI drives the engine directly: the same object type the serve
     // command uses, so a future `train --then-serve` is one borrow away.
@@ -476,34 +524,12 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         timings.overlapped_makespan,
         timings.speedup(),
     );
-    if let Some(f) = &faulty {
-        let c = f.counters();
-        println!(
-            "faults: {} injected over {} allocs, {} budget changes",
-            c.injected, c.allocs, c.budget_changes
-        );
+    // Only a pool survives a device loss, so failover lines come with
+    // the pool summary.
+    for line in &failovers {
+        println!("{line}");
     }
-    if let Some(p) = &pool {
-        for line in &failovers {
-            println!("{line}");
-        }
-        println!(
-            "devices: {} in pool, {} live",
-            p.len(),
-            p.live_device_count()
-        );
-        for i in 0..p.len() {
-            if let Some(d) = p.device(i) {
-                let c = d.counters();
-                println!(
-                    "  device {i}: {} allocs, {} injected{}",
-                    c.allocs,
-                    c.injected,
-                    if p.is_dead(i) { ", LOST" } else { "" }
-                );
-            }
-        }
-    }
+    run_device.print_summary();
     if recovery_on {
         println!(
             "recovery: {} events, headroom multiplier {:.3}",
@@ -511,7 +537,7 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
             engine.headroom_multiplier()
         );
     }
-    if ckpt.is_some() || pool.is_some() {
+    if ckpt.is_some() || matches!(run_device, RunDevice::Pool(_)) {
         // Per-iteration loss bit patterns: ci.sh diffs these lines between
         // an uninterrupted run and a crash+resume run (and between a
         // device-loss run and its fault-free twin) to prove bitwise
@@ -574,13 +600,7 @@ fn cmd_serve(target: &str, opts: &Options) -> Result<(), String> {
         Some(spec) => Some(FaultPlan::parse(spec)?),
         None => None,
     };
-    let gpus = match o.flags.get("gpus") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("bad --gpus `{v}`"))?,
-        ),
-        None => None,
-    };
+    let run_device = RunDevice::new(&o, s.budget, fault_plan)?;
     let recovery = ServeRecoveryPolicy {
         max_retries: o.get("max-retries", 3)?,
         ..ServeRecoveryPolicy::default()
@@ -605,29 +625,6 @@ fn cmd_serve(target: &str, opts: &Options) -> Result<(), String> {
             .train_iteration(&s.ds, &s.batch, &warm, &cost)
             .map_err(|e| e.to_string())?;
     }
-    let pool = match gpus {
-        Some(n) => {
-            let plan = fault_plan.clone().unwrap_or_else(FaultPlan::none);
-            Some(DevicePool::homogeneous(n, s.budget, &plan).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
-    let faulty = match (&pool, fault_plan) {
-        (None, Some(plan)) => Some(FaultyDevice::new(DeviceMemory::new(s.budget), plan)),
-        _ => None,
-    };
-    let plain;
-    let device: &dyn Device = if let Some(p) = &pool {
-        p
-    } else {
-        match &faulty {
-            Some(f) => f,
-            None => {
-                plain = DeviceMemory::new(s.budget);
-                &plain
-            }
-        }
-    };
     let cfg = ServeConfig {
         max_batch,
         max_wait: max_wait_ms / 1e3,
@@ -636,8 +633,8 @@ fn cmd_serve(target: &str, opts: &Options) -> Result<(), String> {
         deadline,
         recovery,
     };
-    let report =
-        serve_trace(&engine, &s.ds, device, &cost, &trace, &cfg).map_err(|e| e.to_string())?;
+    let report = serve_trace(&engine, &s.ds, run_device.device(), &cost, &trace, &cfg)
+        .map_err(|e| e.to_string())?;
     println!(
         "served {} requests in {} batches ({} micro-batches) under {:.2} GB budget",
         report.requests.len(),
@@ -676,42 +673,22 @@ fn cmd_serve(target: &str, opts: &Options) -> Result<(), String> {
         l.max * 1e3
     );
     let rc = report.recovery_counts();
-    if rc.total() > 0 || faulty.is_some() || pool.is_some() {
+    if rc.total() > 0 || !matches!(run_device, RunDevice::Plain(_)) {
         println!(
             "recovery: {} retries, {} degrades, {} re-splits, {} failovers (effective batch width {})",
             rc.retries, rc.degrades, rc.resplits, rc.failovers, report.effective_max_batch
         );
         for ev in &report.recovery {
-            if matches!(ev.action, ServeRecoveryAction::DeviceLost { .. }) {
-                println!("failover: {ev}");
-            }
-        }
-    }
-    if let Some(f) = &faulty {
-        let c = f.counters();
-        println!(
-            "faults: {} injected over {} allocs, {} budget changes",
-            c.injected, c.allocs, c.budget_changes
-        );
-    }
-    if let Some(p) = &pool {
-        println!(
-            "devices: {} in pool, {} live",
-            p.len(),
-            p.live_device_count()
-        );
-        for i in 0..p.len() {
-            if let Some(d) = p.device(i) {
-                let c = d.counters();
+            // A dispatch re-routes to a survivor; the line names it so.
+            if let RecoveryAction::DeviceLost { device, survivors } = ev.action {
                 println!(
-                    "  device {i}: {} allocs, {} injected{}",
-                    c.allocs,
-                    c.injected,
-                    if p.is_dead(i) { ", LOST" } else { "" }
+                    "failover: dispatch {}: device {device} lost; re-routing onto {survivors} survivor(s) (requested {} B, {} B in use, budget {} B)",
+                    ev.index, ev.requested, ev.in_use, ev.budget
                 );
             }
         }
     }
+    run_device.print_summary();
     // `answers:` folds only (index, node, class) — the fault-invariant
     // digest ci.sh compares between a chaos run and its fault-free twin.
     // `digest:` adds latency bits and the shed/missed ledgers: the full

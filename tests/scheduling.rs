@@ -241,14 +241,7 @@ fn train_error_variants_display_and_chain_sources() {
     assert!(e.to_string().contains("9"));
     assert!(e.source().is_none(), "InvalidMicroBatches has no cause");
 
-    let events = vec![RecoveryEvent {
-        micro_batch: 0,
-        action: RecoveryAction::Exhausted,
-        requested: 100,
-        in_use: 40,
-        budget: 120,
-        transient: false,
-    }];
+    let events = vec![RecoveryEvent::new(0, RecoveryAction::Exhausted, &oom)];
     let e = TrainError::RecoveryExhausted {
         events,
         last: oom.clone(),
