@@ -17,6 +17,22 @@ cargo bench --workspace --no-run
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+# The benchmark's seed-1 digests pin the numerics of both workloads: the
+# products-tight loss trail and the arxiv-serve answers must not move a
+# bit (about 30 s together).
+for pin in "products-tight:loss-trail-digest f53fd48195aa9319" "arxiv-serve:answers: 4c30dcda14a5270a"; do
+  workload=${pin%%:*}
+  digest=${pin#*:}
+  out=$(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 2>&1)
+  if ! grep -qF "$digest" <<<"$out"; then
+    echo "ci: FAIL — perfbench $workload seed 1 lost its pinned digest \`$digest\`:" >&2
+    grep -E 'digest|answers:' <<<"$out" >&2 || true
+    exit 1
+  fi
+  echo "ci: perfbench $workload seed 1 keeps \`$digest\`"
+done
+
 # The API docs must build clean: broken intra-doc links or malformed
 # rustdoc are errors, not warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q

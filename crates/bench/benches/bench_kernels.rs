@@ -12,6 +12,7 @@ use buffalo_memsim::AggregatorKind;
 use buffalo_par::Parallelism;
 use buffalo_tensor::Tensor;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::borrow::Cow;
 
 fn config(threads: usize) -> Parallelism {
     Parallelism {
@@ -65,7 +66,7 @@ fn bench_aggregate(c: &mut Criterion) {
             &(&block, &h),
             |bch, (block, h)| {
                 config(threads).install();
-                bch.iter(|| layer.forward(block, h));
+                bch.iter(|| layer.forward(block, Cow::Borrowed(h)));
             },
         );
     }

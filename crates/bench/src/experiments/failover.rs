@@ -7,7 +7,8 @@
 //! gradient step), the failover activity (`DeviceLost` events, the
 //! iteration the loss landed in), the re-shard latency (extra wall time
 //! of the failover iteration over the pre-loss mean), the pre- and
-//! post-loss throughput, the per-member allocation counts, and — the
+//! post-loss throughput of completed iterations, the per-member
+//! allocation counts, and — the
 //! headline determinism claim — whether the per-iteration loss trail is
 //! bitwise identical to the fault-free run on the same pool size.
 //! Failover is pure re-routing of an in-order Execute stage, so every
@@ -18,6 +19,10 @@
 //! The `at_alloc` fire points are derived from each pool's fault-free
 //! baseline (a fraction of the victim's total allocation count), so the
 //! loss always lands mid-run regardless of workload size.
+//!
+//! A metric that is undefined for a scenario (no loss happened, or
+//! nothing completed after it) is written as `null` with a `*_note`
+//! saying why, never as a made-up number.
 
 use crate::context::load_workload;
 use crate::output::Table;
@@ -47,6 +52,8 @@ struct Outcome {
     /// Iteration index (0-based) of the first `DeviceLost` event.
     failover_iter: Option<usize>,
     iter_walls: Vec<f64>,
+    /// Per iteration: whether it produced a gradient step.
+    iter_done: Vec<bool>,
     losses: Vec<f32>,
     per_device_allocs: Vec<u64>,
     dead: Vec<usize>,
@@ -60,46 +67,58 @@ impl Outcome {
     /// Extra wall seconds the failover iteration took over the mean of
     /// the iterations before it — the observable cost of marking the
     /// device dead, re-routing, and replaying the in-flight micro-batch.
-    /// Wall-clock telemetry: noisy on a loaded machine, zero when the
-    /// loss landed in iteration 0 (no pre-loss mean to compare against).
-    fn reshard_latency_s(&self) -> f64 {
-        let Some(at) = self.failover_iter else {
-            return 0.0;
-        };
+    /// Wall-clock telemetry: noisy on a loaded machine. Undefined (the
+    /// `Err` note) without a failover or without a pre-loss iteration to
+    /// compare against.
+    fn reshard_latency_s(&self) -> Result<f64, &'static str> {
+        let at = self.failover_iter.ok_or("no failover happened")?;
         if at == 0 || at >= self.iter_walls.len() {
-            return 0.0;
+            return Err("no pre-loss iteration to compare against");
         }
         let pre_mean = self.iter_walls[..at].iter().sum::<f64>() / at as f64;
-        (self.iter_walls[at] - pre_mean).max(0.0)
+        Ok((self.iter_walls[at] - pre_mean).max(0.0))
     }
 
-    /// Iterations per second over `range` of the wall list.
-    fn throughput(&self, walls: &[f64]) -> f64 {
-        let total: f64 = walls.iter().sum();
-        if total > 0.0 {
-            walls.len() as f64 / total
-        } else {
-            0.0
+    /// Completed iterations per wall second over `first..last`
+    /// iterations; failed iterations add their wall time but no count.
+    fn throughput(&self, first: usize, last: usize) -> Result<f64, &'static str> {
+        let done = self.iter_done[first..last].iter().filter(|&&d| d).count();
+        let total: f64 = self.iter_walls[first..last].iter().sum();
+        if done == 0 || total <= 0.0 {
+            return Err("no iteration completed");
         }
+        Ok(done as f64 / total)
     }
 
-    fn pre_loss_throughput(&self) -> f64 {
-        match self.failover_iter {
-            Some(at) if at > 0 => self.throughput(&self.iter_walls[..at]),
-            _ => self.throughput(&self.iter_walls),
-        }
+    fn pre_loss_throughput(&self) -> Result<f64, &'static str> {
+        let end = match self.failover_iter {
+            Some(at) if at > 0 => at,
+            _ => self.iter_walls.len(),
+        };
+        self.throughput(0, end)
     }
 
-    fn post_loss_throughput(&self) -> f64 {
-        match self.failover_iter {
-            // Skip the failover iteration itself: it pays the re-shard
-            // cost, which reshard_latency_s reports separately.
-            Some(at) if at + 1 < self.iter_walls.len() => {
-                self.throughput(&self.iter_walls[at + 1..])
-            }
-            _ => 0.0,
-        }
+    fn post_loss_throughput(&self) -> Result<f64, &'static str> {
+        let at = self.failover_iter.ok_or("no device loss happened")?;
+        // Skip the failover iteration itself: it pays the re-shard cost,
+        // which reshard_latency_s reports separately.
+        self.throughput((at + 1).min(self.iter_walls.len()), self.iter_walls.len())
+            .map_err(|_| "no iteration completed after the loss")
     }
+}
+
+/// `"key": value` to `decimals` places, or `"key": null, "key_note": …`
+/// when the metric is undefined.
+fn json_metric(key: &str, value: Result<f64, &str>, decimals: usize) -> String {
+    match value {
+        Ok(v) => format!("\"{key}\": {v:.decimals$}"),
+        Err(note) => format!("\"{key}\": null, \"{key}_note\": \"{note}\""),
+    }
+}
+
+/// A table cell: the value to `decimals` places, or `-` when undefined.
+fn cell(value: Result<f64, &str>, decimals: usize) -> String {
+    value.map_or("-".into(), |v| format!("{v:.decimals$}"))
 }
 
 fn run_scenario(
@@ -130,13 +149,16 @@ fn run_scenario(
         device_lost_events: 0,
         failover_iter: None,
         iter_walls: Vec::with_capacity(iters),
+        iter_done: Vec::with_capacity(iters),
         losses: Vec::with_capacity(iters),
         per_device_allocs: Vec::new(),
         dead: Vec::new(),
     };
     for i in 0..iters {
         let t = Instant::now();
-        match trainer.train_iteration(&w.dataset, &w.batch, &pool, cost) {
+        let result = trainer.train_iteration(&w.dataset, &w.batch, &pool, cost);
+        out.iter_done.push(result.is_ok());
+        match result {
             Ok(stats) => {
                 out.completed += 1;
                 out.losses.push(stats.loss);
@@ -245,6 +267,7 @@ pub fn failover(quick: bool, write_bench: bool) {
             baselines[sc.gpus] = Some(Outcome {
                 name: out.name.clone(),
                 iter_walls: out.iter_walls.clone(),
+                iter_done: out.iter_done.clone(),
                 losses: out.losses.clone(),
                 per_device_allocs: out.per_device_allocs.clone(),
                 dead: out.dead.clone(),
@@ -276,13 +299,9 @@ pub fn failover(quick: bool, write_bench: bool) {
             o.lost.to_string(),
             format!("{}/{}", o.completed, o.iterations),
             (o.losses == base_losses).to_string(),
-            format!("{:.4}", o.reshard_latency_s()),
-            format!("{:.2}", o.pre_loss_throughput()),
-            if o.failover_iter.is_some() {
-                format!("{:.2}", o.post_loss_throughput())
-            } else {
-                "-".into()
-            },
+            cell(o.reshard_latency_s(), 4),
+            cell(o.pre_loss_throughput(), 2),
+            cell(o.post_loss_throughput(), 2),
             format!("{:?}", o.per_device_allocs),
         ]);
     }
@@ -306,8 +325,7 @@ pub fn failover(quick: bool, write_bench: bool) {
                 "    {{\"scenario\": \"{}\", \"pool_size\": {}, \"devices_lost\": {}, \
                  \"device_loss_rate\": {:.4}, \"iterations\": {}, \"completed\": {}, \
                  \"completion_rate\": {:.4}, \"device_lost_events\": {}, \
-                 \"failover_iteration\": {}, \"reshard_latency_s\": {:.6}, \
-                 \"pre_loss_iters_per_s\": {:.4}, \"post_loss_iters_per_s\": {:.4}, \
+                 \"failover_iteration\": {}, {}, {}, {}, \
                  \"loss_bitwise_identical_to_fault_free\": {}, \
                  \"per_device_allocs\": [{}], \"dead_devices\": [{}]}}",
                 o.name,
@@ -320,9 +338,9 @@ pub fn failover(quick: bool, write_bench: bool) {
                 o.device_lost_events,
                 o.failover_iter
                     .map_or("null".to_string(), |i| i.to_string()),
-                o.reshard_latency_s(),
-                o.pre_loss_throughput(),
-                o.post_loss_throughput(),
+                json_metric("reshard_latency_s", o.reshard_latency_s(), 6),
+                json_metric("pre_loss_iters_per_s", o.pre_loss_throughput(), 4),
+                json_metric("post_loss_iters_per_s", o.post_loss_throughput(), 4),
                 o.losses == base_losses,
                 allocs.join(", "),
                 dead.join(", ")
@@ -335,4 +353,67 @@ pub fn failover(quick: bool, write_bench: bool) {
         rows.join(",\n")
     );
     crate::output::write_artifact("BENCH_failover.json", &json, write_bench);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn outcome(failover_iter: Option<usize>, iter_done: Vec<bool>) -> Outcome {
+        Outcome {
+            name: "t".into(),
+            gpus: 2,
+            lost: 1,
+            iterations: iter_done.len(),
+            completed: iter_done.iter().filter(|&&d| d).count(),
+            device_lost_events: usize::from(failover_iter.is_some()),
+            failover_iter,
+            iter_walls: vec![0.5; iter_done.len()],
+            iter_done,
+            losses: Vec::new(),
+            per_device_allocs: Vec::new(),
+            dead: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn undefined_metrics_are_errors_not_numbers() {
+        let fault_free = outcome(None, vec![true; 4]);
+        assert_eq!(fault_free.reshard_latency_s(), Err("no failover happened"));
+        assert_eq!(
+            fault_free.post_loss_throughput(),
+            Err("no device loss happened")
+        );
+        assert_eq!(fault_free.pre_loss_throughput(), Ok(2.0));
+        // Lose-all: iterations after the loss fail fast and train nothing.
+        let lose_all = outcome(Some(1), vec![true, true, false, false]);
+        assert_eq!(
+            lose_all.post_loss_throughput(),
+            Err("no iteration completed after the loss")
+        );
+        assert_eq!(lose_all.reshard_latency_s(), Ok(0.0));
+        assert_eq!(
+            outcome(Some(0), vec![true; 2]).reshard_latency_s().ok(),
+            None
+        );
+    }
+
+    #[test]
+    fn post_loss_throughput_counts_only_completed_iterations() {
+        // Iterations 2..4 follow the loss; one of the three failed but
+        // still spent its wall time.
+        let o = outcome(Some(1), vec![true, true, true, false, true]);
+        assert_eq!(o.post_loss_throughput(), Ok(2.0 / 1.5));
+        assert_eq!(o.pre_loss_throughput(), Ok(2.0));
+    }
+
+    #[test]
+    fn undefined_metrics_render_as_null_with_a_note() {
+        assert_eq!(json_metric("x", Ok(1.5), 2), "\"x\": 1.50");
+        assert_eq!(
+            json_metric("x", Err("why"), 2),
+            "\"x\": null, \"x_note\": \"why\""
+        );
+        assert_eq!(cell(Err("why"), 2), "-");
+    }
 }

@@ -25,6 +25,7 @@ use buffalo_memsim::AggregatorKind;
 use buffalo_par::Parallelism;
 use buffalo_simd::{detected_features, f32_to_bf16, SimdBackend};
 use buffalo_tensor::Tensor;
+use std::borrow::Cow;
 use std::time::Instant;
 
 const PARALLEL_THREADS: usize = 4;
@@ -113,9 +114,9 @@ fn bench_aggregate(reps: usize) -> OpResult {
     let h = Tensor::xavier(n_src, dim, 3);
     let layer = SageLayer::new(dim, dim, AggregatorKind::Mean, false, 5);
     config(1, SimdBackend::Scalar).install();
-    let (want, _) = layer.forward(&block, &h);
+    let (want, _) = layer.forward(&block, Cow::Borrowed(&h));
     config(PARALLEL_THREADS, SimdBackend::Scalar).install();
-    let (got, _) = layer.forward(&block, &h);
+    let (got, _) = layer.forward(&block, Cow::Borrowed(&h));
     assert_eq!(
         want.data(),
         got.data(),
@@ -123,11 +124,11 @@ fn bench_aggregate(reps: usize) -> OpResult {
     );
     config(1, SimdBackend::Scalar).install();
     let serial_s = time_secs(reps, || {
-        layer.forward(&block, &h);
+        layer.forward(&block, Cow::Borrowed(&h));
     });
     config(PARALLEL_THREADS, SimdBackend::Scalar).install();
     let parallel_s = time_secs(reps, || {
-        layer.forward(&block, &h);
+        layer.forward(&block, Cow::Borrowed(&h));
     });
     Parallelism::auto().install();
     OpResult {
@@ -189,8 +190,8 @@ fn bench_simd_ops(n: usize, reps: usize) -> Vec<SimdRow> {
 
         // SAGE mean aggregation (axpy over neighbor rows).
         par.install();
-        let (first, _) = layer.forward(&block, &h);
-        let (second, _) = layer.forward(&block, &h);
+        let (first, _) = layer.forward(&block, Cow::Borrowed(&h));
+        let (second, _) = layer.forward(&block, Cow::Borrowed(&h));
         assert_eq!(
             first.data(),
             second.data(),
@@ -200,7 +201,7 @@ fn bench_simd_ops(n: usize, reps: usize) -> Vec<SimdRow> {
             op: "sage_mean_forward_2048x64".into(),
             backend,
             time_s: time_secs(reps, || {
-                layer.forward(&block, &h);
+                layer.forward(&block, Cow::Borrowed(&h));
             }),
         });
 

@@ -3,6 +3,7 @@
 use buffalo_blocks::Block;
 use buffalo_memsim::GnnShape;
 use buffalo_tensor::{Linear, Param, Tensor};
+use std::borrow::Cow;
 
 const LEAKY_SLOPE: f32 = 0.2;
 
@@ -53,16 +54,18 @@ impl GatLayer {
         c
     }
 
-    /// Forward over one block.
+    /// Forward over one block. The cache keeps `h_src` for the `lin`
+    /// weight gradient: pass it owned to move it there instead of copying
+    /// it.
     ///
     /// # Panics
     ///
     /// Panics if `h_src` rows mismatch `block.num_src()`.
-    pub fn forward(&self, block: &Block, h_src: &Tensor) -> (Tensor, GatCache) {
+    pub fn forward(&self, block: &Block, h_src: Cow<'_, Tensor>) -> (Tensor, GatCache) {
         assert_eq!(h_src.rows(), block.num_src(), "h_src row count mismatch");
         let n_dst = block.num_dst();
         let out_dim = self.out_dim;
-        let z = self.lin.forward(h_src);
+        let z = self.lin.forward(&h_src);
         // Score dots and the weighted sum dispatch to the configured SIMD
         // backend (the scalar backend reproduces the historical
         // `map(x*y).sum()` chain bitwise).
@@ -134,7 +137,7 @@ impl GatLayer {
         (
             y,
             GatCache {
-                h_src: h_src.clone(),
+                h_src: h_src.into_owned(),
                 z,
                 alphas,
                 positive,
@@ -143,12 +146,20 @@ impl GatLayer {
         )
     }
 
-    /// Backward over one block: accumulates gradients, returns `dh_src`.
+    /// Backward over one block: accumulates gradients and, when
+    /// `input_grad` is set, returns `dh_src` (otherwise the final input
+    /// gradient is skipped).
     ///
     /// Runs in three deterministic parallel phases, each replicating the
     /// sequential arithmetic chains exactly (see the phase comments), so
     /// gradients are bit-identical for any thread count.
-    pub fn backward(&mut self, block: &Block, cache: &GatCache, dy: &Tensor) -> Tensor {
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        cache: &GatCache,
+        dy: &Tensor,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let n_dst = block.num_dst();
         let out_dim = self.out_dim;
         let mut dy = dy.clone();
@@ -314,7 +325,12 @@ impl GatLayer {
         }
         self.a_l.accumulate(&da_l);
         self.a_r.accumulate(&da_r);
-        self.lin.backward(&cache.h_src, &dz)
+        if input_grad {
+            Some(self.lin.backward(&cache.h_src, &dz))
+        } else {
+            self.lin.backward_params(&cache.h_src, &dz);
+            None
+        }
     }
 
     /// Trainable parameters.
@@ -329,7 +345,7 @@ impl GatLayer {
 /// A full GAT model: one [`GatLayer`] per block.
 #[derive(Debug, Clone)]
 pub struct GatModel {
-    layers: Vec<GatLayer>,
+    pub(super) layers: Vec<GatLayer>,
 }
 
 impl GatModel {
@@ -356,33 +372,18 @@ impl GatModel {
     ///
     /// Panics if `blocks.len()` differs from model depth.
     pub fn forward(&self, blocks: &[Block], features: &Tensor) -> (Tensor, Vec<GatCache>) {
-        assert_eq!(
-            blocks.len(),
-            self.layers.len(),
-            "block/layer count mismatch"
-        );
-        let mut h = features.clone();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let (h_next, cache) = layer.forward(block, &h);
-            caches.push(cache);
-            h = h_next;
-        }
-        (h, caches)
+        super::forward_layers(&self.layers, blocks, features, GatLayer::forward)
     }
 
     /// Backward over `blocks`; accumulates parameter gradients.
     pub fn backward(&mut self, blocks: &[Block], caches: &[GatCache], dlogits: &Tensor) {
-        let mut dh = dlogits.clone();
-        for ((layer, block), cache) in self
-            .layers
-            .iter_mut()
-            .zip(blocks)
-            .rev()
-            .zip(caches.iter().rev())
-        {
-            dh = layer.backward(block, cache, &dh);
-        }
+        super::backward_layers(
+            &mut self.layers,
+            blocks,
+            caches,
+            dlogits,
+            GatLayer::backward,
+        );
     }
 
     /// All parameters.
@@ -422,7 +423,7 @@ mod tests {
     fn attention_weights_sum_to_one() {
         let layer = GatLayer::new(3, 4, false, 5);
         let h = Tensor::xavier(4, 3, 2);
-        let (_, cache) = layer.forward(&test_block(), &h);
+        let (_, cache) = layer.forward(&test_block(), Cow::Borrowed(&h));
         for alpha in &cache.alphas {
             let sum: f32 = alpha.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -435,7 +436,7 @@ mod tests {
         let layer = GatLayer::new(2, 2, false, 3);
         let block = Block::from_parts(vec![0], vec![0], vec![0, 0], vec![]);
         let h = Tensor::from_vec(1, 2, vec![1.0, -1.0]);
-        let (y, cache) = layer.forward(&block, &h);
+        let (y, cache) = layer.forward(&block, Cow::Borrowed(&h));
         assert_eq!(cache.alphas[0], vec![1.0]);
         // Output = 1.0 * z_self.
         let z = layer.lin.forward(&h);

@@ -69,11 +69,23 @@ impl GcnLayer {
         (y, GcnCache { agg, relu_mask })
     }
 
-    /// Backward over one block: accumulates gradients, returns `dh_src`.
-    pub fn backward(&mut self, block: &Block, cache: &GcnCache, dy: &Tensor) -> Tensor {
+    /// Backward over one block: accumulates gradients and, when
+    /// `input_grad` is set, returns `dh_src` (otherwise the input gradient
+    /// and its scatter are skipped).
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        cache: &GcnCache,
+        dy: &Tensor,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let mut dy = dy.clone();
         if let Some(mask) = &cache.relu_mask {
             dy.relu_backward(mask);
+        }
+        if !input_grad {
+            self.lin.backward_params(&cache.agg, &dy);
+            return None;
         }
         let d_agg = self.lin.backward(&cache.agg, &dy);
         let n_dst = block.num_dst();
@@ -116,7 +128,7 @@ impl GcnLayer {
                 }
             }
         });
-        dh_src
+        Some(dh_src)
     }
 
     /// Trainable parameters.
@@ -128,7 +140,7 @@ impl GcnLayer {
 /// A full GCN model: one [`GcnLayer`] per block.
 #[derive(Debug, Clone)]
 pub struct GcnModel {
-    layers: Vec<GcnLayer>,
+    pub(super) layers: Vec<GcnLayer>,
 }
 
 impl GcnModel {
@@ -155,33 +167,20 @@ impl GcnModel {
     ///
     /// Panics if `blocks.len()` differs from the model depth.
     pub fn forward(&self, blocks: &[Block], features: &Tensor) -> (Tensor, Vec<GcnCache>) {
-        assert_eq!(
-            blocks.len(),
-            self.layers.len(),
-            "block/layer count mismatch"
-        );
-        let mut h = features.clone();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let (h_next, cache) = layer.forward(block, &h);
-            caches.push(cache);
-            h = h_next;
-        }
-        (h, caches)
+        super::forward_layers(&self.layers, blocks, features, |layer, block, h| {
+            layer.forward(block, &h)
+        })
     }
 
     /// Backward over `blocks`; accumulates parameter gradients.
     pub fn backward(&mut self, blocks: &[Block], caches: &[GcnCache], dlogits: &Tensor) {
-        let mut dh = dlogits.clone();
-        for ((layer, block), cache) in self
-            .layers
-            .iter_mut()
-            .zip(blocks)
-            .rev()
-            .zip(caches.iter().rev())
-        {
-            dh = layer.backward(block, cache, &dh);
-        }
+        super::backward_layers(
+            &mut self.layers,
+            blocks,
+            caches,
+            dlogits,
+            GcnLayer::backward,
+        );
     }
 
     /// All parameters.

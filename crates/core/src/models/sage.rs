@@ -9,6 +9,7 @@
 use buffalo_blocks::{Block, ReverseIndex};
 use buffalo_memsim::{AggregatorKind, GnnShape};
 use buffalo_tensor::{Linear, LstmCell, LstmState, Param, Tensor};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// One GraphSAGE layer: `h' = σ(W_self · h_dst + W_neigh · AGG(h_srcs))`.
@@ -28,10 +29,12 @@ enum AggregatorImpl {
     Lstm { cell: LstmCell },
 }
 
-/// Cached forward state of one [`SageLayer`].
+/// Cached forward state of one [`SageLayer`]: only what backward reads.
 #[derive(Debug)]
 pub struct SageCache {
-    h_src: Tensor,
+    /// The destinations' own input rows (the `h_src` prefix), read by the
+    /// `w_self` weight gradient.
+    h_dst: Tensor,
     agg: Tensor,
     relu_mask: Option<Vec<bool>>,
     agg_cache: AggCache,
@@ -41,6 +44,8 @@ pub struct SageCache {
 enum AggCache {
     Mean,
     MaxPool {
+        /// All source rows, read by the `proj` weight gradient.
+        h_src: Tensor,
         proj: Tensor,
         proj_mask: Vec<bool>,
         /// Per destination, per output dim: the h_src row index that won
@@ -93,25 +98,30 @@ impl SageLayer {
     }
 
     /// Forward over one block. `h_src` rows follow `block.src_nodes()`
-    /// order.
+    /// order. The max-pool cache keeps `h_src`: pass it owned to move it
+    /// there instead of copying it.
     ///
     /// # Panics
     ///
     /// Panics if `h_src` row count differs from `block.num_src()`.
-    pub fn forward(&self, block: &Block, h_src: &Tensor) -> (Tensor, SageCache) {
+    pub fn forward(&self, block: &Block, h_src: Cow<'_, Tensor>) -> (Tensor, SageCache) {
         assert_eq!(h_src.rows(), block.num_src(), "h_src row count mismatch");
         assert_eq!(h_src.cols(), self.in_dim, "h_src width mismatch");
+        // Destinations are the first `num_dst` sources (prefix invariant).
         let n_dst = block.num_dst();
-        let dst_rows: Vec<usize> = (0..n_dst).collect();
-        let h_dst_prev = h_src.gather_rows(&dst_rows);
+        let h_dst = Tensor::from_vec(
+            n_dst,
+            self.in_dim,
+            h_src.data()[..n_dst * self.in_dim].to_vec(),
+        );
         let (agg, agg_cache) = self.aggregate(block, h_src);
-        let mut y = self.w_self.forward(&h_dst_prev);
+        let mut y = self.w_self.forward(&h_dst);
         y.add_assign(&self.w_neigh.forward(&agg));
         let relu_mask = self.relu.then(|| y.relu_inplace());
         (
             y,
             SageCache {
-                h_src: h_src.clone(),
+                h_dst,
                 agg,
                 relu_mask,
                 agg_cache,
@@ -119,7 +129,7 @@ impl SageLayer {
         )
     }
 
-    fn aggregate(&self, block: &Block, h_src: &Tensor) -> (Tensor, AggCache) {
+    fn aggregate(&self, block: &Block, h_src: Cow<'_, Tensor>) -> (Tensor, AggCache) {
         let n_dst = block.num_dst();
         let dim = self.in_dim;
         match &self.agg {
@@ -148,7 +158,7 @@ impl SageLayer {
             }
             AggregatorImpl::MaxPool { proj } => {
                 let par = buffalo_par::ambient();
-                let mut p = proj.forward(h_src);
+                let mut p = proj.forward(&h_src);
                 let proj_mask = p.relu_inplace();
                 let mut agg = Tensor::zeros(n_dst, dim);
                 let mut argmax = vec![vec![u32::MAX; dim]; n_dst];
@@ -200,6 +210,7 @@ impl SageLayer {
                 (
                     agg,
                     AggCache::MaxPool {
+                        h_src: h_src.into_owned(),
                         proj: p,
                         proj_mask,
                         argmax,
@@ -239,23 +250,41 @@ impl SageLayer {
         }
     }
 
-    /// Backward over one block: accumulates parameter gradients and
-    /// returns the source-embedding gradient (rows follow
-    /// `block.src_nodes()`).
-    pub fn backward(&mut self, block: &Block, cache: &SageCache, dy: &Tensor) -> Tensor {
+    /// Backward over one block: accumulates parameter gradients and, when
+    /// `input_grad` is set, returns the source-embedding gradient (rows
+    /// follow `block.src_nodes()`). Without it every tensor that only the
+    /// source gradient reads is skipped; the parameter gradients are the
+    /// same bits either way.
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        cache: &SageCache,
+        dy: &Tensor,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let n_dst = block.num_dst();
         let mut dy = dy.clone();
         if let Some(mask) = &cache.relu_mask {
             dy.relu_backward(mask);
         }
-        let dst_rows: Vec<usize> = (0..n_dst).collect();
-        let h_dst_prev = cache.h_src.gather_rows(&dst_rows);
-        let dh_dst = self.w_self.backward(&h_dst_prev, &dy);
-        let d_agg = self.w_neigh.backward(&cache.agg, &dy);
-        let mut dh_src = Tensor::zeros(block.num_src(), self.in_dim);
-        dh_src.scatter_add_rows(&dst_rows, &dh_dst);
+        let mut dh_src = if input_grad {
+            let dh_dst = self.w_self.backward(&cache.h_dst, &dy);
+            let dst_rows: Vec<usize> = (0..n_dst).collect();
+            let mut dh_src = Tensor::zeros(block.num_src(), self.in_dim);
+            dh_src.scatter_add_rows(&dst_rows, &dh_dst);
+            Some(dh_src)
+        } else {
+            self.w_self.backward_params(&cache.h_dst, &dy);
+            None
+        };
         match (&mut self.agg, &cache.agg_cache) {
             (AggregatorImpl::Mean, AggCache::Mean) => {
+                // The mean's d_agg feeds only the source gradient.
+                let Some(dh_src) = dh_src.as_mut() else {
+                    self.w_neigh.backward_params(&cache.agg, &dy);
+                    return None;
+                };
+                let d_agg = self.w_neigh.backward(&cache.agg, &dy);
                 // Scatter through the reverse (src → dst) index: each
                 // source row is written by exactly one thread and
                 // accumulates its destinations in ascending order — the
@@ -287,11 +316,13 @@ impl SageLayer {
             (
                 AggregatorImpl::MaxPool { proj },
                 AggCache::MaxPool {
+                    h_src,
                     proj: p_cached,
                     proj_mask,
                     argmax,
                 },
             ) => {
+                let d_agg = self.w_neigh.backward(&cache.agg, &dy);
                 // Reverse map from winning projected row q to its (i, d)
                 // credit events, in the order the sequential loop visits
                 // them (ascending i, then d), so each dproj row can be
@@ -337,15 +368,21 @@ impl SageLayer {
                     }
                 });
                 dproj.relu_backward(proj_mask);
-                let dh_from_proj = proj.backward(&cache.h_src, &dproj);
-                dh_src.add_assign(&dh_from_proj);
+                match dh_src.as_mut() {
+                    Some(dh_src) => dh_src.add_assign(&proj.backward(h_src, &dproj)),
+                    None => proj.backward_params(h_src, &dproj),
+                }
             }
             // The recurrent aggregator stays destination-major: its cost
             // lives in the LstmCell matmuls, which are parallel internally.
             (AggregatorImpl::Lstm { cell }, AggCache::Lstm { buckets }) => {
+                let d_agg = self.w_neigh.backward(&cache.agg, &dy);
                 for bucket in buckets {
                     let dh_final = d_agg.gather_rows(&bucket.dst_rows);
                     let dxs = cell.backward(&bucket.state, &dh_final);
+                    let Some(dh_src) = dh_src.as_mut() else {
+                        continue;
+                    };
                     for (t, dx) in dxs.iter().enumerate() {
                         let rows: Vec<usize> = bucket
                             .dst_rows
@@ -378,7 +415,7 @@ impl SageLayer {
 /// A full GraphSAGE model: one [`SageLayer`] per block.
 #[derive(Debug, Clone)]
 pub struct SageModel {
-    layers: Vec<SageLayer>,
+    pub(super) layers: Vec<SageLayer>,
 }
 
 impl SageModel {
@@ -413,33 +450,18 @@ impl SageModel {
     ///
     /// Panics if `blocks.len()` differs from the model depth.
     pub fn forward(&self, blocks: &[Block], features: &Tensor) -> (Tensor, Vec<SageCache>) {
-        assert_eq!(
-            blocks.len(),
-            self.layers.len(),
-            "block/layer count mismatch"
-        );
-        let mut h = features.clone();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let (h_next, cache) = layer.forward(block, &h);
-            caches.push(cache);
-            h = h_next;
-        }
-        (h, caches)
+        super::forward_layers(&self.layers, blocks, features, SageLayer::forward)
     }
 
     /// Backward over `blocks`; accumulates parameter gradients.
     pub fn backward(&mut self, blocks: &[Block], caches: &[SageCache], dlogits: &Tensor) {
-        let mut dh = dlogits.clone();
-        for ((layer, block), cache) in self
-            .layers
-            .iter_mut()
-            .zip(blocks)
-            .rev()
-            .zip(caches.iter().rev())
-        {
-            dh = layer.backward(block, cache, &dh);
-        }
+        super::backward_layers(
+            &mut self.layers,
+            blocks,
+            caches,
+            dlogits,
+            SageLayer::backward,
+        );
     }
 
     /// All parameters.
@@ -550,7 +572,7 @@ mod tests {
         let layer = SageLayer::new(2, 2, AggregatorKind::Mean, false, 1);
         let block = Block::from_parts(vec![0], vec![0, 1, 2], vec![0, 2], vec![1, 2]);
         let h = Tensor::from_vec(3, 2, vec![0.0, 0.0, 2.0, 4.0, 6.0, 8.0]);
-        let (_, cache) = layer.forward(&block, &h);
+        let (_, cache) = layer.forward(&block, Cow::Owned(h));
         assert_eq!(cache.agg.row(0), &[4.0, 6.0]);
     }
 
@@ -560,7 +582,7 @@ mod tests {
         // dst 0 has no in-edges.
         let block = Block::from_parts(vec![0], vec![0], vec![0, 0], vec![]);
         let h = Tensor::from_vec(1, 2, vec![1.0, 1.0]);
-        let (_, cache) = layer.forward(&block, &h);
+        let (_, cache) = layer.forward(&block, Cow::Owned(h));
         assert_eq!(cache.agg.row(0), &[0.0, 0.0]);
     }
 
@@ -571,7 +593,8 @@ mod tests {
         let x = Tensor::xavier(5, 3, 3);
         // Layer over the output block: dst degrees are 2 and 3 — two
         // buckets expected.
-        let (_, cache) = layer.forward(&blocks[1], &layer.forward(&blocks[0], &x).0);
+        let (h, _) = layer.forward(&blocks[0], Cow::Owned(x));
+        let (_, cache) = layer.forward(&blocks[1], Cow::Owned(h));
         match cache.agg_cache {
             AggCache::Lstm { ref buckets } => assert_eq!(buckets.len(), 2),
             _ => panic!("expected LSTM cache"),

@@ -319,14 +319,22 @@ impl Dataset {
     /// values biased toward the node's class prototype so the
     /// classification task is learnable.
     pub fn feature_row(&self, node: NodeId) -> Vec<f32> {
+        let mut row = vec![0.0; self.spec.feat_dim];
+        self.feature_row_into(node, &mut row);
+        row
+    }
+
+    /// Writes [`feature_row`](Self::feature_row)`(node)` into `out`
+    /// (length `feat_dim`) without allocating.
+    fn feature_row_into(&self, node: NodeId, out: &mut [f32]) {
         let dim = self.spec.feat_dim;
         let mut rng =
             StdRng::seed_from_u64(self.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let class = self.label(node) as usize;
         let proto = &self.prototypes[class * dim..(class + 1) * dim];
-        (0..dim)
-            .map(|i| 0.7 * proto[i] + 0.3 * (rng.gen::<f32>() * 2.0 - 1.0))
-            .collect()
+        for (v, &p) in out.iter_mut().zip(proto) {
+            *v = 0.7 * p + 0.3 * (rng.gen::<f32>() * 2.0 - 1.0);
+        }
     }
 
     /// Deterministic label for `node` in `0..num_classes`.
@@ -373,7 +381,7 @@ impl Dataset {
         }
         buffalo_par::parallel_rows(out, dim, &par, |row0, chunk| {
             for (r, row) in chunk.chunks_exact_mut(dim).enumerate() {
-                row.copy_from_slice(&self.feature_row(nodes[row0 + r]));
+                self.feature_row_into(nodes[row0 + r], row);
             }
         });
     }
@@ -412,9 +420,11 @@ impl Dataset {
                         .enumerate()
                         .map(|(ci, chunk)| -> buffalo_par::Task<'_> {
                             Box::new(move || {
+                                // One f32 row buffer per task, reused.
+                                let mut f = vec![0.0; dim];
                                 for (r, row) in chunk.chunks_exact_mut(dim).enumerate() {
-                                    let node = (ci * chunk_nodes + r) as NodeId;
-                                    for (h, v) in row.iter_mut().zip(this.feature_row(node)) {
+                                    this.feature_row_into((ci * chunk_nodes + r) as NodeId, &mut f);
+                                    for (h, &v) in row.iter_mut().zip(&f) {
                                         *h = buffalo_simd::f32_to_bf16(v);
                                     }
                                 }

@@ -31,9 +31,16 @@ impl Linear {
     /// Backward pass: accumulates weight/bias gradients and returns the
     /// input gradient.
     pub fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
+        self.backward_params(x, dy);
+        dy.matmul_nt(&self.w.value)
+    }
+
+    /// Parameter-only backward: accumulates the weight then the bias
+    /// gradient, exactly as [`backward`](Self::backward) does, but skips
+    /// the input gradient — for layers whose input is not trained.
+    pub fn backward_params(&mut self, x: &Tensor, dy: &Tensor) {
         self.w.accumulate(&x.matmul_tn(dy));
         self.b.accumulate(&dy.sum_rows());
-        dy.matmul_nt(&self.w.value)
     }
 
     /// Zeroes both gradients.
